@@ -19,8 +19,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <new>
+#include <utility>
+#include <vector>
 
-#include "analysis/profile.hpp"
 #include "runtime/telemetry.hpp"
 #include "app/fast_path.hpp"
 #include "app/scenario.hpp"
@@ -30,6 +31,7 @@
 #include "energy/device_profile.hpp"
 #include "net/link.hpp"
 #include "sim/simulation.hpp"
+#include "stats/csv.hpp"
 #include "tcp/buffers.hpp"
 #include "trace/trace.hpp"
 #include "workload/fleet.hpp"
@@ -287,12 +289,12 @@ struct CoreResult {
   std::uint64_t huge_cells = 0;
   std::uint64_t huge_events = 0;
   double huge_seconds = 0.0;
-  // Wall-time per harness section (self-profiling of the bench itself).
-  analysis::Profiler harness;
+  // Wall time per harness section, in run order (self-profiling of the
+  // bench itself).
+  std::vector<std::pair<const char*, double>> harness;
 };
 
 void measure_scheduler(CoreResult& out) {
-  const auto timer = out.harness.time("scheduler");
   sim::Scheduler sched;
   constexpr int kBatch = 10'000;
   constexpr int kWarmupRounds = 10;
@@ -319,7 +321,6 @@ void measure_scheduler(CoreResult& out) {
 }
 
 void measure_packet_path(CoreResult& out) {
-  const auto timer = out.harness.time("packet_path");
   sim::Simulation sim;
   net::Link::Config fast;
   fast.rate_mbps = 100000.0;
@@ -354,7 +355,6 @@ void measure_packet_path(CoreResult& out) {
 }
 
 void measure_end_to_end(CoreResult& out) {
-  const auto timer = out.harness.time("end_to_end");
   app::ScenarioConfig cfg;
   cfg.record_series = false;
   app::Scenario s(cfg);
@@ -400,7 +400,6 @@ void measure_gate(bool flight, std::uint64_t& ops_out, double& seconds_out,
 // pure steady-state multiplexing (no connection churn) and the
 // allocations/event figure isolates the per-event hot path at fleet scale.
 void measure_fleet(CoreResult& out) {
-  const auto timer = out.harness.time("fleet");
   workload::FleetConfig cfg;
   cfg.scenario.wifi.down_mbps = 90.0;
   cfg.scenario.cell.down_mbps = 40.0;
@@ -437,7 +436,6 @@ void measure_fleet(CoreResult& out) {
 // fast path's home turf, so the wall-clock ratio against the packet run
 // is the honest speedup figure (same workload, same virtual time).
 void measure_fleet_hybrid(CoreResult& out) {
-  const auto timer = out.harness.time("fleet_256_hybrid");
   workload::FleetConfig cfg;
   cfg.scenario.wifi.down_mbps = 90.0;
   cfg.scenario.cell.down_mbps = 40.0;
@@ -503,7 +501,6 @@ double run_sharded_window(std::size_t clients, std::size_t per_cell,
 // shards over the same virtual window. Identical event counts are a hard
 // requirement — a mismatch is a determinism bug, not noise.
 void measure_sharded_fleet(CoreResult& out) {
-  const auto timer = out.harness.time("fleet_10k");
   const double warm_s = bench_quick() ? 0.1 : 0.25;
   const double window_s = bench_quick() ? 0.2 : 1.0;
   out.sharded_clients = 10'000;
@@ -529,7 +526,6 @@ void measure_sharded_fleet(CoreResult& out) {
 // count (jobs-derived would hide machine variation; pin 4) over a short
 // fixed window — completing it at all is the point.
 void measure_fleet_100k(CoreResult& out) {
-  const auto timer = out.harness.time("fleet_100k");
   const double warm_s = bench_quick() ? 0.02 : 0.1;
   const double window_s = bench_quick() ? 0.05 : 0.25;
   out.huge_clients = 100'000;
@@ -564,7 +560,6 @@ void measure_span_gate(CoreResult& out) {
 }
 
 void measure_trace_gates(CoreResult& out) {
-  const auto timer = out.harness.time("trace_gates");
   measure_gate(false, out.trace_gate_ops, out.trace_gate_seconds,
                out.trace_gate_allocs_per_op);
   measure_gate(true, out.flight_gate_ops, out.flight_gate_seconds,
@@ -712,7 +707,17 @@ void write_json(const CoreResult& r) {
   std::fprintf(f, "    \"e2e_packet_pool_slots\": %llu,\n",
                static_cast<unsigned long long>(
                    r.e2e_profile.packet_pool_slots));
-  std::fprintf(f, "    \"harness\": %s\n", r.harness.to_json(4).c_str());
+  std::fprintf(f, "    \"harness\": {");
+  for (std::size_t i = 0; i < r.harness.size(); ++i) {
+    const auto& [name, seconds] = r.harness[i];
+    // One op per section: ops_per_sec is sections per second.
+    const double rate = seconds > 0.0 ? 1.0 / seconds : 0.0;
+    std::fprintf(f, "%s\n      \"%s\": {\"ops\": 1, \"seconds\": %s, "
+                 "\"ops_per_sec\": %s}",
+                 i == 0 ? "" : ",", name, stats::fmt_double(seconds).c_str(),
+                 stats::fmt_double(rate).c_str());
+  }
+  std::fprintf(f, "\n    }\n");
   std::fprintf(f, "  }\n");
   std::fprintf(f, "}\n");
   std::fclose(f);
@@ -721,14 +726,19 @@ void write_json(const CoreResult& r) {
 
 void run_core_harness() {
   CoreResult r;
-  measure_scheduler(r);
-  measure_packet_path(r);
-  measure_end_to_end(r);
-  measure_fleet(r);
-  measure_fleet_hybrid(r);
-  measure_sharded_fleet(r);
-  measure_fleet_100k(r);
-  measure_trace_gates(r);
+  const auto section = [&r](const char* name, void (*measure)(CoreResult&)) {
+    const Clock::time_point start = Clock::now();
+    measure(r);
+    r.harness.emplace_back(name, seconds_since(start));
+  };
+  section("scheduler", measure_scheduler);
+  section("packet_path", measure_packet_path);
+  section("end_to_end", measure_end_to_end);
+  section("fleet", measure_fleet);
+  section("fleet_256_hybrid", measure_fleet_hybrid);
+  section("fleet_10k", measure_sharded_fleet);
+  section("fleet_100k", measure_fleet_100k);
+  section("trace_gates", measure_trace_gates);
   std::printf(
       "fleet: %llu clients, %.2fM events/s, %.6f allocs/event\n",
       static_cast<unsigned long long>(r.fleet_clients),

@@ -9,27 +9,9 @@
 namespace emptcp::analysis {
 namespace {
 
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-}
-
 std::string quoted(std::string_view s) {
   std::string out;
-  append_json_string(out, s);
+  stats::append_json_string(out, s);
   return out;
 }
 

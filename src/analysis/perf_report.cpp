@@ -46,15 +46,6 @@ PerfDist dist_from_flat(const FlatJson& flat, const std::string& prefix) {
   return d;
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  for (const char c : s) {
-    if (c == '"' || c == '\\') out += '\\';
-    out += c;
-  }
-  return out;
-}
-
 }  // namespace
 
 PerfDist summarize(const runtime::LogBuckets& h) {
@@ -116,7 +107,9 @@ void fill_spans(PerfDoc& doc, std::size_t max_spans) {
 std::string perf_doc_to_json(const PerfDoc& doc) {
   std::string out = "{\n";
   out += "  \"schema\": \"emptcp-perf-v1\",\n";
-  out += "  \"label\": \"" + json_escape(doc.label) + "\",\n";
+  out += "  \"label\": ";
+  stats::append_json_string(out, doc.label);
+  out += ",\n";
   out += "  \"engine\": {";
   out += "\"epochs\": " + std::to_string(doc.epochs);
   out += ", \"busy_epochs\": " + std::to_string(doc.busy_epochs);
@@ -133,7 +126,8 @@ std::string perf_doc_to_json(const PerfDoc& doc) {
   for (std::size_t i = 0; i < doc.places.size(); ++i) {
     const PerfDoc::Place& p = doc.places[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "    {\"name\": \"" + json_escape(p.name) + "\"";
+    out += "    {\"name\": ";
+    stats::append_json_string(out, p.name);
     out += ", \"events\": " + std::to_string(p.events);
     out += ", \"busy_epochs\": " + std::to_string(p.busy_epochs);
     out += ", \"cross_tx\": " + std::to_string(p.cross_tx);
@@ -153,7 +147,8 @@ std::string perf_doc_to_json(const PerfDoc& doc) {
   for (std::size_t i = 0; i < doc.spans.size(); ++i) {
     const PerfDoc::Span& s = doc.spans[i];
     out += i == 0 ? "\n" : ",\n";
-    out += "    {\"name\": \"" + json_escape(s.name) + "\"";
+    out += "    {\"name\": ";
+    stats::append_json_string(out, s.name);
     out += ", \"count\": " + std::to_string(s.count);
     out += ", \"total_s\": " + fmt(s.total_s);
     out += ", \"max_ms\": " + fmt(s.max_ms);

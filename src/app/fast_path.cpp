@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 
 #include "app/world.hpp"
 #include "mptcp/subflow.hpp"
 #include "net/packet.hpp"
+#include "trace/trace.hpp"
 
 namespace emptcp::app {
 namespace {
@@ -16,11 +15,11 @@ net::InterfaceType iface_type(int i) {
   return i == 0 ? net::InterfaceType::kWifi : net::InterfaceType::kLte;
 }
 
-/// EMPTCP_FASTPATH_DEBUG=1 narrates every state transition to stderr —
-/// the fast track for "why does this flow never go fluid?".
-bool debug_enabled() {
-  static const bool on = std::getenv("EMPTCP_FASTPATH_DEBUG") != nullptr;
-  return on;
+/// Trace flow id. Fleets tag each connection with its flow id + 1, so a
+/// fastpath record joins that flow's flow_start and flow_complete; an
+/// untagged single-flow run is flow 0.
+std::uint32_t flow_id(const mptcp::MptcpConnection& conn) {
+  return conn.app_tag() > 0 ? conn.app_tag() - 1 : 0;
 }
 
 }  // namespace
@@ -121,12 +120,15 @@ void FastPath::disarm() {
   apply_wire_load(WireLoad{});  // release energy metering and link shares
 }
 
+void FastPath::trace_transition(const Flow& f, const char* state,
+                                const char* reason) {
+  EMPTCP_TRACE(w_.sim, fastpath(w_.sim.now(), flow_id(*f.client), state,
+                                reason, f.sender->macro_pending_bytes(),
+                                f.rate_bps[0] * 8e-6, f.rate_bps[1] * 8e-6));
+}
+
 void FastPath::drop_to_measure(Flow& f, const char* why) {
-  if (debug_enabled() && f.state != State::kMeasure) {
-    std::fprintf(stderr, "fastpath t=%.3f flow=%p drop (%s)\n",
-                 sim::to_seconds(w_.sim.now()), static_cast<void*>(f.client),
-                 why);
-  }
+  if (f.state != State::kMeasure) trace_transition(f, "measure", why);
   if (f.sender != nullptr && f.sender->tx_paused()) {
     f.sender->set_tx_paused(false);
   }
@@ -214,14 +216,7 @@ void FastPath::try_enter(Flow& f) {
     any = true;
   }
   if (!any) return;
-  if (debug_enabled()) {
-    std::fprintf(stderr,
-                 "fastpath t=%.3f flow=%p drain (pending=%llu wifi=%.0fB/s "
-                 "cell=%.0fB/s)\n",
-                 sim::to_seconds(w_.sim.now()), static_cast<void*>(f.client),
-                 static_cast<unsigned long long>(f.sender->macro_pending_bytes()),
-                 f.rate_bps[0], f.rate_bps[1]);
-  }
+  trace_transition(f, "drain", "stable");
   f.sender->set_tx_paused(true);
   f.state = State::kDraining;
   f.drain = 0;
@@ -338,11 +333,7 @@ void FastPath::tick(std::uint64_t epoch) {
             f.state = State::kFluid;
             ++fluid_entries_;
             for (double& c : f.carry) c = 0.0;
-            if (debug_enabled()) {
-              std::fprintf(stderr, "fastpath t=%.3f flow=%p fluid\n",
-                           sim::to_seconds(now),
-                           static_cast<void*>(f.client));
-            }
+            trace_transition(f, "fluid", "quiescent");
           } else if (++f.drain > cfg_.max_drain_ticks) {
             drop_to_measure(f, "drain-timeout");  // never went quiescent
           }

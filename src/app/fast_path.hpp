@@ -17,7 +17,8 @@
 //   kFluid --(transient | tail reached | timeout)--> unpause, kMeasure
 //
 // The fast path always leaves a packet-level tail (cfg.tail_bytes) so the
-// close handshake, DATA_FIN and radio tail run at full fidelity.
+// close handshake, DATA_FIN and radio tail run at full fidelity. Every
+// transition is recorded as a `fastpath` trace event.
 #pragma once
 
 #include <cstdint>
@@ -125,6 +126,9 @@ class FastPath final : public mptcp::FastPathListener {
   /// Applies (or clears, when zero) the fluid share to the energy tracker
   /// and to every access/WAN link in both directions.
   void apply_wire_load(const WireLoad& load);
+  /// Records a `fastpath` trace event: the flow entering `state` (static
+  /// storage) for `reason`, with its sender backlog and frozen rates.
+  void trace_transition(const Flow& f, const char* state, const char* reason);
   void drop_to_measure(Flow& f, const char* why);
   [[nodiscard]] Flow* find(const mptcp::MptcpConnection& conn);
 

@@ -128,7 +128,7 @@ struct RunMetrics {
   stats::Series cell_rate_series;
 
   // Populated when ScenarioConfig::trace is set (serialize with
-  // stats::trace_to_jsonl / trace_to_csv). The metric snapshot includes
+  // stats::trace_to_jsonl). The metric snapshot includes
   // the run.* summary gauges, so a serialized trace alone is sufficient to
   // reproduce the headline numbers (see analysis/rollup.hpp).
   std::vector<trace::Event> trace_events;

@@ -1,10 +1,8 @@
 #include "core/delayed_subflow.hpp"
 
 #include <cmath>
-#include <cstdio>
 
 #include "net/interface.hpp"
-#include "sim/logging.hpp"
 
 namespace emptcp::core {
 
@@ -12,8 +10,7 @@ DelayedSubflowManager::DelayedSubflowManager(sim::Simulation& sim,
                                              const EnergyInfoBase& eib,
                                              const BandwidthPredictor& predictor,
                                              Config cfg, Hooks hooks)
-    : sim_(sim),
-      eib_(eib),
+    : eib_(eib),
       predictor_(predictor),
       cfg_(cfg),
       hooks_(std::move(hooks)),
@@ -77,21 +74,9 @@ bool DelayedSubflowManager::wifi_good_enough() const {
 }
 
 void DelayedSubflowManager::establish_now() {
-#ifdef EMPTCP_DELAYED_DEBUG
-  std::printf("[delayed] establish t=%.3f predW=%.2f predL=%.2f rx=%llu timer=%d wsamples=%zu\n",
-              sim::to_seconds(sim_.now()),
-              predictor_.predicted_mbps(net::InterfaceType::kWifi),
-              predictor_.predicted_mbps(net::InterfaceType::kLte),
-              (unsigned long long)hooks_.bytes_received(), (int)timer_expired_,
-              predictor_.sample_count(net::InterfaceType::kWifi));
-#endif
   established_ = true;
   tau_timer_.cancel();
   recheck_timer_.cancel();
-  EMPTCP_LOG(sim_, sim::LogLevel::kInfo,
-             "delayed subflow: establishing cellular subflow (rx="
-                 << hooks_.bytes_received() << "B, timer_expired="
-                 << timer_expired_ << ")");
   hooks_.establish();
 }
 

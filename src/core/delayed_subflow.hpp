@@ -77,7 +77,6 @@ class DelayedSubflowManager {
   [[nodiscard]] bool wifi_good_enough() const;
   void establish_now();
 
-  sim::Simulation& sim_;
   const EnergyInfoBase& eib_;
   const BandwidthPredictor& predictor_;
   Config cfg_;

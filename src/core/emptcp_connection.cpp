@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/logging.hpp"
-
 namespace emptcp::core {
 
 EmptcpConnection::EmptcpConnection(sim::Simulation& sim, net::Node& node,
@@ -99,10 +97,7 @@ void EmptcpConnection::on_subflow_established(mptcp::Subflow& sf) {
 
 void EmptcpConnection::establish_cellular() {
   if (cellular_established_) return;
-  if (meta_->add_subflow(cell_local_) == nullptr) {
-    EMPTCP_LOG(sim_, sim::LogLevel::kWarn,
-               "eMPTCP: cellular MP_JOIN refused");
-  }
+  meta_->add_subflow(cell_local_);
 }
 
 bool EmptcpConnection::is_idle() const {

@@ -1,9 +1,6 @@
 #include "core/path_usage_controller.hpp"
 
-#include <cstdio>
-
 #include "net/interface.hpp"
-#include "sim/logging.hpp"
 #include "trace/trace.hpp"
 
 namespace emptcp::core {
@@ -46,25 +43,12 @@ void PathUsageController::evaluate() {
   const double wifi = predictor_.predicted_mbps(net::InterfaceType::kWifi);
   const double cell = predictor_.predicted_mbps(net::InterfaceType::kLte);
   const PathUsage next = decide(wifi, cell);
-#ifdef EMPTCP_DELAYED_DEBUG
-  if (next != current_) {
-    const energy::WifiThresholds th = eib_.thresholds_at(cell);
-    std::printf("[ctrl t=%.2f] %s->%s wifi=%.2f cell=%.2f lo=%.3f hi=%.3f\n",
-                sim::to_seconds(sim_.now()), to_string(current_),
-                to_string(next), wifi, cell, th.cell_only_below,
-                th.wifi_only_at_least);
-  }
-#endif
   if (next != current_) {
     const PathUsage prev = current_;
     current_ = next;
     ++switches_;
     EMPTCP_TRACE(sim_, mode_change(sim_.now(), to_string(prev),
                                    to_string(next), wifi, cell));
-    EMPTCP_LOG(sim_, sim::LogLevel::kInfo,
-               "path usage " << to_string(prev) << " -> " << to_string(next)
-                             << " (wifi=" << wifi << " cell=" << cell
-                             << " Mbps)");
     if (on_decision_) on_decision_(prev, next);
   }
 }

@@ -6,7 +6,6 @@
 #include "check/hub.hpp"
 #include "check/oracle.hpp"
 #include "mptcp/fastpath_hub.hpp"
-#include "sim/logging.hpp"
 #include "trace/trace.hpp"
 
 namespace emptcp::mptcp {
@@ -89,8 +88,6 @@ Subflow* MptcpConnection::add_subflow(net::Addr local, bool backup) {
   sf.set_backup(backup);
   raw->connect(local, local_port, remote_addr_, remote_port_,
                /*mp_capable=*/false, /*mp_join=*/true);
-  EMPTCP_LOG(sim_, sim::LogLevel::kInfo,
-             node_.name() << " MP_JOIN via " << sf.describe());
   return &sf;
 }
 
@@ -121,8 +118,6 @@ void MptcpConnection::accept_join(const net::Packet& syn) {
                                        : net::InterfaceType::kEthernet;
   Subflow& sf = create_subflow(std::move(socket), iface);
   if (syn.mp_backup) sf.set_backup(true);
-  EMPTCP_LOG(sim_, sim::LogLevel::kInfo,
-             node_.name() << " accepted MP_JOIN " << sf.describe());
 }
 
 Subflow& MptcpConnection::create_subflow(
@@ -190,18 +185,12 @@ void MptcpConnection::request_priority(Subflow& sf, bool backup) {
   sf.socket().send_mp_prio(backup);
   EMPTCP_TRACE(sim_, mp_prio(sim_.now(), static_cast<std::uint32_t>(sf.id()),
                              net::to_string(sf.iface()), backup, "local"));
-  EMPTCP_LOG(sim_, sim::LogLevel::kInfo,
-             node_.name() << " MP_PRIO " << sf.describe() << " -> "
-                          << (backup ? "backup" : "normal"));
   if (!backup) poke_subflows();
 }
 
 void MptcpConnection::handle_interface_down(net::InterfaceType type) {
   for (auto& sf : subflows_) {
     if (sf->iface() == type && sf->usable()) {
-      EMPTCP_LOG(sim_, sim::LogLevel::kInfo,
-                 node_.name() << " interface down: resetting "
-                              << sf->describe());
       sf->socket().abort();  // on_closed marks it failed and reinjects
     }
   }
@@ -299,9 +288,6 @@ void MptcpConnection::on_subflow_packet(Subflow& sf, const net::Packet& pkt) {
       sf.socket().set_cwnd_validation(false);
       sf.socket().reset_srtt_for_probe();
     }
-    EMPTCP_LOG(sim_, sim::LogLevel::kInfo,
-               node_.name() << " peer set " << sf.describe() << " -> "
-                            << (backup ? "backup" : "normal"));
     if (cb_.on_subflow_priority) cb_.on_subflow_priority(sf, backup);
     if (!backup) poke_subflows();
   }
@@ -342,10 +328,6 @@ void MptcpConnection::on_subflow_closed(Subflow& sf) {
       }
     }
     sf.outstanding().clear();
-    EMPTCP_LOG(sim_, sim::LogLevel::kInfo,
-               node_.name() << " subflow " << sf.describe()
-                            << " failed; reinjecting "
-                            << reinject_.size() << " chunks");
     poke_subflows();
   }
   check_eof();

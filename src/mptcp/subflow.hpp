@@ -9,7 +9,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "net/interface.hpp"
 #include "sim/ring_deque.hpp"
@@ -63,10 +62,6 @@ class Subflow {
                data_una) {
       outstanding_.pop_front();
     }
-  }
-
-  [[nodiscard]] std::string describe() const {
-    return std::string(net::to_string(iface_)) + "#" + std::to_string(id_);
   }
 
  private:

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "sim/logging.hpp"
 #include "trace/trace.hpp"
 
 namespace emptcp::net {
@@ -12,10 +11,6 @@ void WifiChannel::set_interferer_active(std::size_t idx, bool active) {
   if (active_[idx] == static_cast<bool>(active)) return;
   active_[idx] = active;
   apply();
-  EMPTCP_LOG(sim_, sim::LogLevel::kDebug,
-             "wifi channel: " << active_interferers()
-                              << " active interferers, device share "
-                              << device_share_mbps() << " Mbps");
 }
 
 std::size_t WifiChannel::active_interferers() const {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "net/node.hpp"
-#include "sim/logging.hpp"
 
 namespace emptcp::net {
 
@@ -30,8 +29,6 @@ void NetworkInterface::send(const Packet& pkt) {
   if (auto it = routes_.find(pkt.dst); it != routes_.end()) out = it->second;
   if (out == nullptr) {
     ++dropped_down_;
-    EMPTCP_LOG(sim_, sim::LogLevel::kWarn,
-               cfg_.name << ": no route for " << pkt.describe());
     return;
   }
   tx_bytes_ += pkt.wire_bytes();
@@ -81,8 +78,6 @@ void NetworkInterface::macro_account(std::uint64_t tx_wire_bytes,
 void NetworkInterface::set_up(bool up) {
   if (up_ == up) return;
   up_ = up;
-  EMPTCP_LOG(sim_, sim::LogLevel::kInfo,
-             cfg_.name << (up ? " up" : " down"));
 }
 
 }  // namespace emptcp::net

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "sim/logging.hpp"
-
 namespace emptcp::net {
 
 NetworkInterface& Node::add_interface(NetworkInterface::Config cfg) {
@@ -58,8 +56,6 @@ void Node::receive(const Packet& pkt, NetworkInterface& /*in*/) {
     }
   }
   ++unmatched_;
-  EMPTCP_LOG(sim_, sim::LogLevel::kTrace,
-             name_ << ": unmatched packet " << pkt.describe());
 }
 
 }  // namespace emptcp::net

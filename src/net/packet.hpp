@@ -12,7 +12,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <string>
 #include <utility>
 
 #include "net/address.hpp"
@@ -143,8 +142,6 @@ struct Packet {
   [[nodiscard]] FlowKey flow_at_receiver() const {
     return FlowKey{dst, dport, src, sport};
   }
-
-  [[nodiscard]] std::string describe() const;
 };
 
 /// Maximum segment size used by all TCP senders (typical Ethernet MSS).

@@ -2,7 +2,7 @@
 //
 // Every paper result is a mean ± SEM over independent (scenario, seed)
 // replications. Those runs share nothing — each constructs its own
-// Simulation, RNG and logger — so they fan out across cores freely. The
+// Simulation, RNG and trace sink — so they fan out across cores freely. The
 // runner preserves the sequential contract exactly: results come back in
 // a [config][seed] matrix regardless of completion order, so any
 // aggregation (mean, SEM, ratios) performed over that matrix is

@@ -3,7 +3,7 @@
 // The simulator itself is strictly single-threaded; what parallelises is
 // the *experiment* layer: every paper figure aggregates 5-10 independent
 // (scenario, seed) replications, and each replication owns its whole
-// Simulation (clock, RNG, logger), so runs share no mutable state. The
+// Simulation (clock, RNG, trace sink), so runs share no mutable state. The
 // pool is deliberately minimal — a locked queue feeding N workers — since
 // tasks are seconds-long simulations, not microsecond work items.
 #pragma once

@@ -1,4 +1,4 @@
-// Simulation context: one object owning the clock, RNG and logger.
+// Simulation context: one object owning the clock, RNG and trace sink.
 //
 // Every protocol / channel / application object receives a Simulation& at
 // construction and keeps a reference. This replaces global state: two
@@ -12,7 +12,6 @@
 #include <unordered_map>
 
 #include "sim/event.hpp"
-#include "sim/logging.hpp"
 #include "sim/random.hpp"
 #include "trace/sink.hpp"
 
@@ -40,7 +39,6 @@ class Simulation {
 
   Scheduler& scheduler() { return sched_; }
   Rng& rng() { return rng_; }
-  Logger& logger() { return logger_; }
 
   /// Structured tracing / metrics for this run. A direct member (not a
   /// context<>() entry) because instrumentation sites query its enabled
@@ -101,7 +99,6 @@ class Simulation {
   std::unordered_map<std::type_index, ContextPtr> contexts_;
   Scheduler sched_;
   Rng rng_;
-  Logger logger_;
   trace::TraceSink trace_;
   trace::TraceSink* prev_sink_ = nullptr;
 };

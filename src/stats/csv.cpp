@@ -18,6 +18,24 @@ std::string fmt_double(double v) {
   return buf;
 }
 
+void append_json_string(std::string& out, std::string_view s) {
+  out += '"';
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x",
+                    static_cast<unsigned>(static_cast<unsigned char>(c)));
+      out += buf;
+    } else {
+      out += c;
+    }
+  }
+  out += '"';
+}
+
 std::string csv_field(const std::string& value) {
   // RFC 4180: a field containing a comma, quote, CR or LF must be quoted
   // (the original writer missed '\r', which silently corrupted rows).

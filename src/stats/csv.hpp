@@ -18,6 +18,11 @@ namespace emptcp::stats {
 /// JSONL traces, CSV dumps, run manifests and report output.
 std::string fmt_double(double v);
 
+/// Appends `s` to `out` as a quoted JSON string: '"' and '\\' are
+/// backslash-escaped, other control characters become \u00XX. The one
+/// escaper behind the trace, manifest and perf-document writers.
+void append_json_string(std::string& out, std::string_view s);
+
 /// Escapes one CSV field per RFC 4180 (quotes when it contains a comma,
 /// quote, CR or LF; embedded quotes are doubled).
 std::string csv_field(const std::string& value);

@@ -8,25 +8,6 @@
 namespace emptcp::stats {
 namespace {
 
-void append_json_string(std::string& out, const char* s) {
-  out += '"';
-  for (const char* p = s; *p != '\0'; ++p) {
-    const char c = *p;
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-}
-
 void field_str(std::string& out, const char* name, const char* value) {
   out += ",\"";
   out += name;
@@ -120,6 +101,14 @@ void append_event_jsonl(std::string& out, const trace::Event& e) {
       field_double(out, "fct_s", e.d0);
       field_double(out, "energy_j", e.d1);
       break;
+    case trace::Kind::kFastpath:
+      field_int(out, "flow", e.id);
+      field_str(out, "state", e.label);
+      field_str(out, "reason", e.label2);
+      field_int(out, "pending", e.i0);
+      field_double(out, "wifi_mbps", e.d0);
+      field_double(out, "cell_mbps", e.d1);
+      break;
     case trace::Kind::kWarning:
       field_str(out, "what", e.label);
       field_int(out, "v0", e.i0);
@@ -140,27 +129,12 @@ std::string trace_to_jsonl(const std::vector<trace::Event>& events,
   }
   for (const trace::MetricSnapshot& m : metrics) {
     out += "{\"metric\":";
-    append_json_string(out, m.name.c_str());
+    append_json_string(out, m.name);
     out += ",\"value\":";
     out += fmt_double(m.value);
     out += "}\n";
   }
   return out;
-}
-
-std::string trace_to_csv(const std::vector<trace::Event>& events) {
-  std::vector<std::vector<std::string>> rows;
-  rows.reserve(events.size() + 1);
-  rows.push_back({"t_ns", "kind", "id", "label", "label2", "i0", "i1", "d0",
-                  "d1"});
-  for (const trace::Event& e : events) {
-    rows.push_back({std::to_string(static_cast<std::int64_t>(e.t)),
-                    trace::to_string(e.kind), std::to_string(e.id),
-                    e.label == nullptr ? "" : e.label,
-                    e.label2 == nullptr ? "" : e.label2, std::to_string(e.i0),
-                    std::to_string(e.i1), fmt_double(e.d0), fmt_double(e.d1)});
-  }
-  return to_csv(rows);
 }
 
 }  // namespace emptcp::stats

@@ -1,5 +1,5 @@
-// Trace exporters: serialize a TraceSink's event log (and optionally its
-// metric snapshot) as JSONL or CSV text.
+// Trace exporter: serializes a TraceSink's event log (and optionally its
+// metric snapshot) as JSONL text.
 //
 // The serialization is deterministic: events appear in record order, field
 // order is fixed per kind, and doubles are printed with shortest-roundtrip
@@ -23,10 +23,5 @@ namespace emptcp::stats {
 std::string trace_to_jsonl(
     const std::vector<trace::Event>& events,
     const std::vector<trace::MetricSnapshot>& metrics = {});
-
-/// Flat CSV with the raw record layout: one row per event, fixed columns
-/// t_ns,kind,id,label,label2,i0,i1,d0,d1. Useful for spreadsheet triage;
-/// the JSONL form is the one with per-kind field names.
-std::string trace_to_csv(const std::vector<trace::Event>& events);
 
 }  // namespace emptcp::stats

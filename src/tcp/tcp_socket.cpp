@@ -5,7 +5,6 @@
 #include "check/hub.hpp"
 #include "check/mutation.hpp"
 #include "check/oracle.hpp"
-#include "sim/logging.hpp"
 #include "trace/trace.hpp"
 
 namespace emptcp::tcp {
@@ -263,12 +262,6 @@ void TcpSocket::enter_established() {
   transition(TcpState::kEstablished);
   rto_timer_.cancel();
   last_send_ = sim_.now();
-  EMPTCP_LOG(sim_, sim::LogLevel::kDebug,
-             node_.name() << " established " << key_.local_addr << ":"
-                          << key_.local_port << "<->" << key_.remote_addr
-                          << ":" << key_.remote_port
-                          << " hs_rtt=" << sim::to_milliseconds(handshake_rtt_)
-                          << "ms");
   if (cb_.on_connected) cb_.on_connected();
   try_send();
 }
@@ -322,9 +315,6 @@ void TcpSocket::enter_recovery() {
   cc_->on_loss_event();
   ctr_fast_recoveries_->add();
   trace_cwnd();
-  EMPTCP_LOG(sim_, sim::LogLevel::kTrace,
-             node_.name() << " fast retransmit at una=" << snd_una_
-                          << " cwnd=" << cc_->cwnd());
   // With few dupacks and nothing marked yet, the front segment is the
   // presumed hole (classic fast retransmit) — unless its last transmission
   // is fresher than an RTT.
@@ -629,10 +619,6 @@ void TcpSocket::on_rto() {
     finish(/*failed=*/true);
     return;
   }
-  EMPTCP_LOG(sim_, sim::LogLevel::kTrace,
-             node_.name() << " RTO at una=" << snd_una_
-                          << " rto=" << sim::to_milliseconds(rtt_.rto())
-                          << "ms");
   cc_->on_timeout();
   ctr_rtos_->add();
   trace_cwnd();
@@ -675,9 +661,6 @@ void TcpSocket::finish(bool failed, bool send_rst) {
     node_.unregister_flow(key_);
     flow_registered_ = false;
   }
-  EMPTCP_LOG(sim_, sim::LogLevel::kDebug,
-             node_.name() << " closed " << key_.local_port
-                          << (failed ? " (failed)" : ""));
   if (cb_.on_closed) cb_.on_closed();
 }
 

@@ -208,6 +208,14 @@ class TraceSink {
     push({t, Kind::kFlowComplete, flow, nullptr, nullptr,
           static_cast<std::int64_t>(bytes), 0, fct_s, energy_j_est});
   }
+  /// `state` is the governor state entered (measure/drain/fluid), `reason`
+  /// why; rates are the flow's frozen per-interface payload rates.
+  void fastpath(sim::Time t, std::uint32_t flow, const char* state,
+                const char* reason, std::uint64_t pending_bytes,
+                double wifi_mbps, double cell_mbps) {
+    push({t, Kind::kFastpath, flow, state, reason,
+          static_cast<std::int64_t>(pending_bytes), 0, wifi_mbps, cell_mbps});
+  }
   void warning(sim::Time t, const char* what, std::int64_t v0 = 0,
                std::int64_t v1 = 0) {
     push({t, Kind::kWarning, 0, what, nullptr, v0, v1, 0.0, 0.0});

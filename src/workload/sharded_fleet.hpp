@@ -55,7 +55,8 @@ class ShardedFleet {
   /// scenario.max_sim_time reached) and collects merged metrics.
   FleetMetrics run(std::uint64_t seed);
 
-  // Incremental driving (bench_fleet_scale measures steady-state windows):
+  // Incremental driving (bench_micro's fleet_10k/fleet_100k and perfbench's
+  // sharded_fleet time steady-state windows):
   // start() builds cells + backbone and launches the workload, run_until()
   // advances all cells to t_s, finish() merges and collects.
   void start(std::uint64_t seed);

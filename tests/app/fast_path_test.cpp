@@ -8,6 +8,7 @@
 
 #include <cmath>
 #include <string>
+#include <string_view>
 
 #include "app/scenario.hpp"
 #include "stats/trace_export.hpp"
@@ -29,11 +30,15 @@ std::string event_jsonl(const RunMetrics& m) {
   return stats::trace_to_jsonl(m.trace_events, /*metrics=*/{});
 }
 
-double fluid_bytes(const RunMetrics& m) {
+double run_gauge(const RunMetrics& m, std::string_view name) {
   for (const auto& ms : m.trace_metrics) {
-    if (ms.name == "run.fluid_bytes") return ms.value;
+    if (ms.name == name) return ms.value;
   }
   return -1.0;  // metric absent (packet mode never registers it)
+}
+
+double fluid_bytes(const RunMetrics& m) {
+  return run_gauge(m, "run.fluid_bytes");
 }
 
 // Packet-mode byte identity: the governor's plumbing must be inert when
@@ -106,6 +111,25 @@ TEST(FastPathScenarioTest, HybridEngagesAndMatchesPacketWithinTolerance) {
         << "seed " << seed;
     EXPECT_LE(std::abs(mh.energy_j - mp.energy_j), 0.30 * mp.energy_j + 0.3)
         << "seed " << seed;
+
+#if EMPTCP_TRACE_COMPILED
+    // Every governor transition is a fastpath record naming its flow (the
+    // run's one untagged flow is flow 0) and why it moved; the fluid
+    // entries among them are exactly the governor's own count.
+    std::uint64_t fluid_records = 0;
+    for (const trace::Event& e : mh.trace_events) {
+      if (e.kind != trace::Kind::kFastpath) continue;
+      EXPECT_EQ(e.id, 0u) << "seed " << seed;
+      ASSERT_NE(e.label, nullptr) << "seed " << seed;
+      ASSERT_NE(e.label2, nullptr) << "seed " << seed;
+      EXPECT_NE(std::string_view(e.label2), "") << "seed " << seed;
+      if (std::string_view(e.label) == "fluid") ++fluid_records;
+    }
+    EXPECT_GT(fluid_records, 0u) << "seed " << seed;
+    EXPECT_EQ(static_cast<double>(fluid_records),
+              run_gauge(mh, "run.fluid_entries"))
+        << "seed " << seed;
+#endif
   }
 }
 

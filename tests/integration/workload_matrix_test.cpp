@@ -17,6 +17,11 @@ struct MatrixParam {
   int rtt_ms;
 };
 
+// Print a condition by its name. gtest's fallback dumps the struct's raw
+// bytes, which puts the address of `name` into every test ID, so the IDs
+// would change with address-space randomisation and with every relink.
+void PrintTo(const MatrixParam& p, std::ostream* os) { *os << p.name; }
+
 class WorkloadMatrix : public ::testing::TestWithParam<MatrixParam> {
  protected:
   ScenarioConfig config() const {

@@ -57,7 +57,8 @@ TEST_F(SubflowSchedulerTest, BackupFlagReflectedInDescribeAndState) {
   EXPECT_FALSE(sf.backup());
   sf.set_backup(true);
   EXPECT_TRUE(sf.backup());
-  EXPECT_EQ(sf.describe(), "lte#0");
+  EXPECT_EQ(sf.iface(), net::InterfaceType::kLte);
+  EXPECT_EQ(sf.id(), 0u);
 }
 
 TEST_F(SubflowSchedulerTest, OutstandingChunksPruneAgainstDataAck) {

@@ -37,30 +37,6 @@ TEST(PacketTest, FlowKeyEqualityAndHash) {
   EXPECT_NE(h(a), h(c));  // not guaranteed in general, but true here
 }
 
-TEST(PacketTest, DescribeMentionsFlagsAndOptions) {
-  Packet p;
-  p.src = 1;
-  p.dst = 2;
-  p.syn = true;
-  p.mp_capable = true;
-  EXPECT_NE(p.describe().find("SYN"), std::string::npos);
-  EXPECT_NE(p.describe().find("MP_CAPABLE"), std::string::npos);
-
-  Packet d;
-  d.payload = 100;
-  d.seq = 42;
-  d.dss = DssMapping{7, 0, 100};
-  d.data_ack = 55;
-  const std::string s = d.describe();
-  EXPECT_NE(s.find("seq=42"), std::string::npos);
-  EXPECT_NE(s.find("DSS[7+100]"), std::string::npos);
-  EXPECT_NE(s.find("DACK=55"), std::string::npos);
-
-  Packet prio;
-  prio.mp_prio = MpPrio{true};
-  EXPECT_NE(prio.describe().find("backup"), std::string::npos);
-}
-
 TEST(PacketTest, DefaultsAreInert) {
   Packet p;
   EXPECT_FALSE(p.syn);

@@ -107,6 +107,7 @@ TEST(TraceSinkTest, KindNamesAreStable) {
   EXPECT_STREQ(to_string(Kind::kRadioState), "radio_state");
   EXPECT_STREQ(to_string(Kind::kEnergySample), "energy_sample");
   EXPECT_STREQ(to_string(Kind::kChannelRate), "channel_rate");
+  EXPECT_STREQ(to_string(Kind::kFastpath), "fastpath");
   EXPECT_STREQ(to_string(Kind::kWarning), "warning");
 }
 
@@ -180,6 +181,8 @@ TEST(TraceExportTest, JsonlUsesPerKindSchemaNames) {
   sink.tcp_state(sim::milliseconds(1), 7, "syn_sent", "established");
   sink.cwnd(sim::milliseconds(2), 7, 14600, 65535);
   sink.mode_change(sim::milliseconds(3), "all_paths", "wifi_only", 12.5, 9.0);
+  sink.fastpath(sim::milliseconds(4), 3, "fluid", "quiescent", 524288, 8.5,
+                0.25);
   sink.metrics().counter("tcp.rtos").add(2);
 
   const std::string jsonl = stats::trace_to_jsonl(
@@ -191,6 +194,9 @@ TEST(TraceExportTest, JsonlUsesPerKindSchemaNames) {
       "\"ssthresh\":65535}\n"
       "{\"t_ns\":3000000,\"kind\":\"mode_change\",\"from\":\"all_paths\","
       "\"to\":\"wifi_only\",\"wifi_mbps\":12.5,\"cell_mbps\":9}\n"
+      "{\"t_ns\":4000000,\"kind\":\"fastpath\",\"flow\":3,"
+      "\"state\":\"fluid\",\"reason\":\"quiescent\",\"pending\":524288,"
+      "\"wifi_mbps\":8.5,\"cell_mbps\":0.25}\n"
       "{\"metric\":\"tcp.rtos\",\"value\":2}\n";
   EXPECT_EQ(jsonl, expected);
 }
@@ -205,22 +211,6 @@ TEST(TraceExportTest, JsonlDoublesRoundTripShortest) {
   EXPECT_NE(jsonl.find("\"mbps\":0.1,"), std::string::npos) << jsonl;
   EXPECT_NE(jsonl.find("\"extra\":0.3333333333333333"), std::string::npos)
       << jsonl;
-}
-
-TEST(TraceExportTest, CsvHasFixedColumnsAndOneRowPerEvent) {
-  TraceSink sink;
-  sink.enable();
-  sink.srtt(sim::milliseconds(4), 3, sim::milliseconds(50),
-            sim::milliseconds(300));
-  sink.warning(sim::milliseconds(5), "w", 1, 2);
-
-  const std::string csv = stats::trace_to_csv(sink.events());
-  EXPECT_EQ(csv.substr(0, csv.find('\n')),
-            "t_ns,kind,id,label,label2,i0,i1,d0,d1");
-  int lines = 0;
-  for (char c : csv) lines += c == '\n' ? 1 : 0;
-  EXPECT_EQ(lines, 3);  // header + 2 events
-  EXPECT_NE(csv.find("srtt"), std::string::npos);
 }
 
 }  // namespace
