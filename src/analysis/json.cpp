@@ -113,56 +113,15 @@ class Parser {
       if (c == '\\') {
         ++pos_;
         if (eof()) break;
-        const char esc = text_[pos_];
-        switch (esc) {
-          case '"': out += '"'; break;
-          case '\\': out += '\\'; break;
-          case '/': out += '/'; break;
-          case 'b': out += '\b'; break;
-          case 'f': out += '\f'; break;
-          case 'n': out += '\n'; break;
-          case 'r': out += '\r'; break;
-          case 't': out += '\t'; break;
-          case 'u': {
-            if (pos_ + 4 >= text_.size()) {
-              err = fail("truncated \\u escape");
-              return false;
-            }
-            unsigned code = 0;
-            for (int i = 1; i <= 4; ++i) {
-              const char h = text_[pos_ + static_cast<std::size_t>(i)];
-              code <<= 4;
-              if (h >= '0' && h <= '9') {
-                code |= static_cast<unsigned>(h - '0');
-              } else if (h >= 'a' && h <= 'f') {
-                code |= static_cast<unsigned>(h - 'a' + 10);
-              } else if (h >= 'A' && h <= 'F') {
-                code |= static_cast<unsigned>(h - 'A' + 10);
-              } else {
-                err = fail("bad \\u escape");
-                return false;
-              }
-            }
-            pos_ += 4;
-            // Our writers only emit \u00xx (control bytes); encode the
-            // code point as UTF-8 for completeness.
-            if (code < 0x80) {
-              out += static_cast<char>(code);
-            } else if (code < 0x800) {
-              out += static_cast<char>(0xC0 | (code >> 6));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            } else {
-              out += static_cast<char>(0xE0 | (code >> 12));
-              out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
-              out += static_cast<char>(0x80 | (code & 0x3F));
-            }
-            break;
-          }
-          default:
-            err = fail("unknown escape");
-            return false;
+        const char* const at = text_.data() + pos_;
+        const char* error = nullptr;
+        const char* const next =
+            decode_json_escape(at, text_.data() + text_.size(), out, error);
+        if (next == nullptr) {
+          err = fail(error);
+          return false;
         }
-        ++pos_;
+        pos_ += static_cast<std::size_t>(next - at);
         continue;
       }
       out += c;
@@ -248,6 +207,59 @@ class Parser {
 };
 
 }  // namespace
+
+const char* decode_json_escape(const char* p, const char* end,
+                               std::string& out, const char*& error) {
+  switch (*p) {
+    case '"': out += '"'; break;
+    case '\\': out += '\\'; break;
+    case '/': out += '/'; break;
+    case 'b': out += '\b'; break;
+    case 'f': out += '\f'; break;
+    case 'n': out += '\n'; break;
+    case 'r': out += '\r'; break;
+    case 't': out += '\t'; break;
+    case 'u': {
+      if (end - p < 5) {
+        error = "truncated \\u escape";
+        return nullptr;
+      }
+      unsigned code = 0;
+      for (int i = 1; i <= 4; ++i) {
+        const char h = p[i];
+        code <<= 4;
+        if (h >= '0' && h <= '9') {
+          code |= static_cast<unsigned>(h - '0');
+        } else if (h >= 'a' && h <= 'f') {
+          code |= static_cast<unsigned>(h - 'a' + 10);
+        } else if (h >= 'A' && h <= 'F') {
+          code |= static_cast<unsigned>(h - 'A' + 10);
+        } else {
+          error = "bad \\u escape";
+          return nullptr;
+        }
+      }
+      p += 4;
+      // Our writers only emit \u00xx (control bytes); encode the code
+      // point as UTF-8 for completeness.
+      if (code < 0x80) {
+        out += static_cast<char>(code);
+      } else if (code < 0x800) {
+        out += static_cast<char>(0xC0 | (code >> 6));
+        out += static_cast<char>(0x80 | (code & 0x3F));
+      } else {
+        out += static_cast<char>(0xE0 | (code >> 12));
+        out += static_cast<char>(0x80 | ((code >> 6) & 0x3F));
+        out += static_cast<char>(0x80 | (code & 0x3F));
+      }
+      break;
+    }
+    default:
+      error = "unknown escape";
+      return nullptr;
+  }
+  return p + 1;
+}
 
 std::optional<FlatJson> parse_json_flat(std::string_view text,
                                         std::string* err) {

@@ -1,12 +1,14 @@
 // Minimal JSON reader for the analysis layer.
 //
-// Everything this repo serializes — JSONL trace lines, run manifests,
-// BENCH_core.json — is scalars inside (possibly nested) objects. This
-// parser flattens that shape into ordered (dotted.path, scalar) pairs:
+// The documents this repo serializes besides traces — run manifests,
+// campaign specs, perf documents, BENCH_core.json — are scalars inside
+// (possibly nested) objects. This parser flattens that shape into
+// ordered (dotted.path, scalar) pairs:
 // {"a":{"b":1},"c":"x"} -> [("a.b", 1), ("c", "x")]. Arrays flatten with
 // numeric path segments. It is a reader for our own writers, not a
 // general-purpose JSON library; anything malformed fails with a position
-// so the offending artifact can be inspected.
+// so the offending artifact can be inspected. Trace lines, flat and
+// numerous, go through the in-place TraceLine scanner instead.
 #pragma once
 
 #include <cstddef>
@@ -32,6 +34,12 @@ using FlatJson = std::vector<std::pair<std::string, JsonScalar>>;
 /// sets `err` ("offset N: message") on malformed input.
 std::optional<FlatJson> parse_json_flat(std::string_view text,
                                         std::string* err = nullptr);
+
+/// Decodes the escape sequence whose letter is at `p` (just after the
+/// backslash; p < end) into `out`. Returns the position after it, or
+/// nullptr with `error` set. Shared by parse_json_flat and TraceLine.
+const char* decode_json_escape(const char* p, const char* end,
+                               std::string& out, const char*& error);
 
 /// First value at `key`, or nullptr.
 const JsonScalar* json_find(const FlatJson& doc, std::string_view key);

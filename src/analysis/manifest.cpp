@@ -1,7 +1,5 @@
 #include "analysis/manifest.hpp"
 
-#include <cstdio>
-
 #include "app/scenario.hpp"
 #include "stats/csv.hpp"
 #include "trace/trace.hpp"
@@ -18,34 +16,6 @@ std::string quoted(std::string_view s) {
 std::string num(double v) { return stats::fmt_double(v); }
 
 }  // namespace
-
-void Fnv1a64Stream::update(std::string_view chunk) {
-  std::uint64_t h = h_;
-  for (const char c : chunk) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001B3ULL;
-  }
-  h_ = h;
-}
-
-std::string Fnv1a64Stream::hex() const {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "fnv1a64:%016llx",
-                static_cast<unsigned long long>(h_));
-  return buf;
-}
-
-std::uint64_t fnv1a64(std::string_view text) {
-  Fnv1a64Stream s;
-  s.update(text);
-  return s.value();
-}
-
-std::string fnv1a64_hex(std::string_view text) {
-  Fnv1a64Stream s;
-  s.update(text);
-  return s.hex();
-}
 
 std::vector<std::pair<std::string, std::string>> describe_scenario(
     const app::ScenarioConfig& cfg) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "analysis/json.hpp"
+#include "stats/digest.hpp"
 
 namespace emptcp::app {
 struct ScenarioConfig;
@@ -38,23 +39,11 @@ struct RunManifest {
   std::vector<std::pair<std::string, std::string>> params;
 };
 
-/// FNV-1a 64-bit — tiny, dependency-free, deterministic across platforms;
-/// collision resistance is irrelevant here (integrity, not security).
-std::uint64_t fnv1a64(std::string_view text);
-std::string fnv1a64_hex(std::string_view text);
-
-/// Incremental form for digesting large traces chunk-by-chunk without
-/// holding the bytes. Feeding a string in any chunking yields the same
-/// value as fnv1a64 over the whole string.
-class Fnv1a64Stream {
- public:
-  void update(std::string_view chunk);
-  [[nodiscard]] std::uint64_t value() const { return h_; }
-  [[nodiscard]] std::string hex() const;  ///< "fnv1a64:<16 hex digits>"
-
- private:
-  std::uint64_t h_ = 0xCBF29CE484222325ULL;
-};
+/// FNV-1a 64-bit digests. They live in stats/ so the trace writer can
+/// digest as it writes; the artifact readers name them here.
+using stats::fnv1a64;
+using stats::fnv1a64_hex;
+using stats::Fnv1a64Stream;
 
 /// The scenario parameters worth recording: path rates/RTTs/losses,
 /// dynamics, device, protocol knobs. Keys are dotted ("wifi.down_mbps").

@@ -39,27 +39,6 @@ std::string quantile_row_value(const LogHistogram& h, double q) {
 
 }  // namespace
 
-AnalyzedRun analyze_run(const LoadedRun& run) {
-  RollupBuilder b(run.manifest);
-  for (const FlatJson& e : run.trace.events) b.add_event(e);
-  for (const auto& [name, value] : run.trace.metrics) {
-    b.add_metric(name, value);
-  }
-  AnalyzedRun out;
-  out.rollup = b.finish();
-  out.power_windows = b.power().windows();
-  out.digest_ok = run.digest_ok;
-  out.source = run.source;
-  return out;
-}
-
-std::string render_report(const std::vector<LoadedRun>& runs) {
-  std::vector<AnalyzedRun> analyzed;
-  analyzed.reserve(runs.size());
-  for (const LoadedRun& r : runs) analyzed.push_back(analyze_run(r));
-  return render_report(std::move(analyzed));
-}
-
 std::string render_report(std::vector<AnalyzedRun> runs) {
   std::sort(runs.begin(), runs.end(),
             [](const AnalyzedRun& a, const AnalyzedRun& b) {

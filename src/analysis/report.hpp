@@ -1,11 +1,13 @@
 // Report rendering and baseline diffing for `emptcp-report`.
 //
 // Two consumers share this layer: the CLI tool (tools/emptcp_report.cpp)
-// and the golden-output tests. Everything rendered here is deterministic
-// by construction — runs are sorted by (group, protocol, seed), numbers go
-// through stats::fmt_double / Table::num, and no wall-clock or locale
-// state is consulted — so a report over the same artifacts is
-// byte-identical across runs, machines and EMPTCP_JOBS settings.
+// and the golden-output tests, both over the AnalyzedRuns that
+// load_analyzed_runs (report_io.hpp) streams from the artifacts.
+// Everything rendered here is deterministic by construction — runs are
+// sorted by (group, protocol, seed), numbers go through stats::fmt_double
+// / Table::num, and no wall-clock or locale state is consulted — so a
+// report over the same artifacts is byte-identical across runs, machines
+// and EMPTCP_JOBS settings.
 #pragma once
 
 #include <string>
@@ -18,18 +20,9 @@
 
 namespace emptcp::analysis {
 
-/// One run as loaded from disk (or from in-memory artifacts in tests).
-struct LoadedRun {
-  RunManifest manifest;
-  TraceData trace;
-  bool digest_ok = true;    ///< trace bytes matched manifest.trace_digest
-  std::string source;       ///< manifest path (or test label), for messages
-};
-
-/// One run reduced to its report inputs. This is the streaming-friendly
-/// form: `emptcp-report` builds it line-by-line via RollupBuilder without
-/// ever materializing the trace, so report memory is independent of trace
-/// size.
+/// One run reduced to its report inputs. load_analyzed_runs builds it
+/// while streaming the trace through RollupBuilder, so report memory is
+/// independent of trace size.
 struct AnalyzedRun {
   RunRollup rollup;
   /// 10 s mean-power windows over the run's energy_sample stream.
@@ -38,14 +31,10 @@ struct AnalyzedRun {
   std::string source;
 };
 
-/// Reduces a materialized run (tests, small traces).
-AnalyzedRun analyze_run(const LoadedRun& run);
-
 /// Renders the full paper-style report: per-run rollups, per-group
 /// mean±SEM aggregates, an energy-per-bit table (Tab. 2 style),
 /// histogram-backed quantiles and CDFs, and a digest-integrity section.
 std::string render_report(std::vector<AnalyzedRun> runs);
-std::string render_report(const std::vector<LoadedRun>& runs);
 
 // ---------------------------------------------------------------------------
 // Baseline diffing (the CI gate).

@@ -5,6 +5,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "stats/digest.hpp"
+
 namespace emptcp::analysis {
 namespace {
 
@@ -23,53 +25,14 @@ bool read_file(const std::string& path, std::string& out) {
 
 bool stream_trace_file(const std::string& path, RollupBuilder& builder,
                        std::string& digest_hex, std::string& err) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    err = "cannot open";
+  std::string fold_err;
+  if (!stats::digest_file(path, digest_hex, [&](std::string_view chunk) {
+        return builder.feed(chunk, fold_err);
+      })) {
+    err = fold_err.empty() ? "cannot read" : fold_err;
     return false;
   }
-  Fnv1a64Stream digest;
-  std::string chunk(1 << 20, '\0');
-  std::string carry;  // partial line from the previous chunk
-  std::size_t line_no = 0;
-  auto fold_line = [&](std::string_view line) {
-    ++line_no;
-    if (line.empty()) return true;
-    std::string perr;
-    const auto doc = parse_json_flat(line, &perr);
-    if (!doc) {
-      err = "line " + std::to_string(line_no) + ": " + perr;
-      return false;
-    }
-    builder.add_line(*doc);
-    return true;
-  };
-  while (in) {
-    in.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
-    const std::size_t got = static_cast<std::size_t>(in.gcount());
-    if (got == 0) break;
-    const std::string_view data(chunk.data(), got);
-    digest.update(data);
-    std::size_t pos = 0;
-    for (;;) {
-      const std::size_t nl = data.find('\n', pos);
-      if (nl == std::string_view::npos) {
-        carry.append(data.substr(pos));
-        break;
-      }
-      if (carry.empty()) {
-        if (!fold_line(data.substr(pos, nl - pos))) return false;
-      } else {
-        carry.append(data.substr(pos, nl - pos));
-        if (!fold_line(carry)) return false;
-        carry.clear();
-      }
-      pos = nl + 1;
-    }
-  }
-  if (!carry.empty() && !fold_line(carry)) return false;
-  digest_hex = digest.hex();
-  return true;
+  return builder.close(err);
 }
 
 bool load_analyzed_runs(const std::vector<std::string>& dirs,

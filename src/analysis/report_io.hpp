@@ -1,10 +1,11 @@
 // Artifact loading shared by emptcp-report and emptcp-campaign.
 //
-// Streams JSONL traces through RollupBuilder chunk-by-chunk (digest and
-// per-line fold in one pass, O(chunk + one line) memory regardless of
-// trace size) and scans artifact directories for `*.manifest.json`,
-// producing the AnalyzedRun vector render_report consumes. Scan order is
-// sorted for determinism.
+// Streams JSONL traces through RollupBuilder chunk-by-chunk: each 1 MB
+// chunk is digested, then folded line by line in place (O(chunk + one
+// line) memory regardless of trace size). Scans artifact directories for
+// `*.manifest.json`, producing the AnalyzedRun vector render_report
+// consumes. Scan order is sorted for determinism. Manifests go through
+// parse_json_flat; trace lines never do.
 #pragma once
 
 #include <string>

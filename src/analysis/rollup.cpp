@@ -2,56 +2,20 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <string>
 
 namespace emptcp::analysis {
-
-double TraceData::metric(std::string_view name, double fallback) const {
-  for (const auto& [k, v] : metrics) {
-    if (k == name) return v;
-  }
-  return fallback;
-}
-
-bool parse_trace_jsonl(std::string_view text, TraceData& out,
-                       std::string* err) {
-  std::size_t line_no = 0;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t nl = text.find('\n', pos);
-    if (nl == std::string_view::npos) nl = text.size();
-    const std::string_view line = text.substr(pos, nl - pos);
-    pos = nl + 1;
-    ++line_no;
-    if (line.empty()) continue;
-    std::string perr;
-    std::optional<FlatJson> doc = parse_json_flat(line, &perr);
-    if (!doc) {
-      if (err != nullptr) {
-        *err = "line " + std::to_string(line_no) + ": " + perr;
-      }
-      return false;
-    }
-    const JsonScalar* metric = json_find(*doc, "metric");
-    if (metric != nullptr && metric->type == JsonScalar::Type::kString) {
-      out.metrics.emplace_back(metric->str, json_num(*doc, "value", 0.0));
-    } else {
-      out.events.push_back(std::move(*doc));
-    }
-  }
-  return true;
-}
-
 namespace {
 
 /// Tiny ordered map keyed by interface name; traces have at most a
 /// handful of interfaces, so linear scans beat a real map here.
 template <typename V>
 V& slot_for(std::vector<std::pair<std::string, V>>& items,
-            const std::string& key) {
+            std::string_view key) {
   for (auto& [k, v] : items) {
     if (k == key) return v;
   }
-  items.emplace_back(key, V{});
+  items.emplace_back(std::string(key), V{});
   return items.back().second;
 }
 
@@ -64,29 +28,58 @@ RollupBuilder::RollupBuilder(const RunManifest& manifest) {
   r_.seed = manifest.seed;
 }
 
-void RollupBuilder::add_line(const FlatJson& doc) {
-  const JsonScalar* metric = json_find(doc, "metric");
-  if (metric != nullptr && metric->type == JsonScalar::Type::kString) {
-    add_metric(metric->str, json_num(doc, "value", 0.0));
-  } else {
-    add_event(doc);
+bool RollupBuilder::feed(std::string_view chunk, std::string& err) {
+  std::size_t pos = 0;
+  for (;;) {
+    const std::size_t nl = chunk.find('\n', pos);
+    if (nl == std::string_view::npos) {
+      carry_.append(chunk.substr(pos));
+      return true;
+    }
+    const std::string_view line = chunk.substr(pos, nl - pos);
+    pos = nl + 1;
+    if (carry_.empty()) {
+      if (!fold(line, err)) return false;
+    } else {
+      carry_.append(line);
+      if (!fold(carry_, err)) return false;
+      carry_.clear();
+    }
   }
 }
 
-void RollupBuilder::add_metric(const std::string& name, double value) {
-  metrics_.emplace_back(name, value);
+bool RollupBuilder::close(std::string& err) {
+  if (carry_.empty()) return true;
+  const bool ok = fold(carry_, err);
+  carry_.clear();
+  return ok;
 }
 
-void RollupBuilder::add_event(const FlatJson& e) {
+bool RollupBuilder::fold(std::string_view line, std::string& err) {
+  ++line_no_;
+  if (line.empty()) return true;
+  if (!line_.scan(line, err)) {
+    err = "line " + std::to_string(line_no_) + ": " + err;
+    return false;
+  }
+  add(line_);
+  return true;
+}
+
+void RollupBuilder::add(const TraceLine& e) {
+  const TraceLine::Field* metric = e.find("metric");
+  if (metric != nullptr && metric->type == TraceLine::Type::kString) {
+    metrics_.emplace_back(std::string(metric->value), e.num("value", 0.0));
+    return;
+  }
   ++r_.events;
-  const std::string kind = json_str(e, "kind");
+  const std::string_view kind = e.str("kind");
   if (kind == "sched_pick") {
     ++r_.sched_picks;
-    const std::string iface = json_str(e, "iface");
-    slot_for(r_.sched_bytes_by_iface, iface) +=
-        static_cast<std::uint64_t>(json_num(e, "len", 0.0));
+    slot_for(r_.sched_bytes_by_iface, e.str("iface")) +=
+        static_cast<std::uint64_t>(e.num("len", 0.0));
   } else if (kind == "mp_prio") {
-    if (json_num(e, "backup", 0.0) != 0.0) {
+    if (e.num("backup", 0.0) != 0.0) {
       ++r_.suspends;
     } else {
       ++r_.resumes;
@@ -102,14 +95,13 @@ void RollupBuilder::add_event(const FlatJson& e) {
     // co-timed sample per cell per window under the same interface name;
     // each integrates over the shared timestep, so the co-timed powers
     // sum instead of the followers collapsing into zero-width gaps.
-    const std::string iface = json_str(e, "iface");
-    const double t_s = json_num(e, "t_ns", 0.0) * 1e-9;
-    SampleStep& prev = slot_for(prev_sample_t_, iface);
+    const double t_s = e.num("t_ns", 0.0) * 1e-9;
+    SampleStep& prev = slot_for(prev_sample_t_, e.str("iface"));
     if (t_s > prev.t) {
       prev.step = t_s - prev.t;
       prev.t = t_s;
     }
-    const double power_mw = json_num(e, "power_mw", 0.0);
+    const double power_mw = e.num("power_mw", 0.0);
     if (prev.step > 0.0) {
       r_.integrated_energy_j += power_mw * 1e-3 * prev.step;
     }
@@ -118,12 +110,12 @@ void RollupBuilder::add_event(const FlatJson& e) {
     ++r_.flows_started;
   } else if (kind == "flow_complete") {
     ++r_.flows_completed;
-    const double fct = json_num(e, "fct_s", 0.0);
+    const double fct = e.num("fct_s", 0.0);
     if (fct > 0.0) r_.flow_fct_s.add(fct);
-    const double bytes = json_num(e, "bytes", 0.0);
-    const double energy = json_num(e, "energy_j", 0.0);
+    const double bytes = e.num("bytes", 0.0);
+    const double energy = e.num("energy_j", 0.0);
     if (bytes > 0.0) r_.flow_epb_uj.add(energy * 1e6 / (bytes * 8.0));
-    r_.flows.push_back({static_cast<std::uint64_t>(json_num(e, "flow", 0.0)),
+    r_.flows.push_back({static_cast<std::uint64_t>(e.num("flow", 0.0)),
                         bytes, fct, energy});
   } else if (kind == "warning") {
     ++r_.warnings;
@@ -132,29 +124,28 @@ void RollupBuilder::add_event(const FlatJson& e) {
 
 RunRollup RollupBuilder::finish() const {
   RunRollup r = r_;
-  const TraceData view{{}, metrics_};
-  r.completed = view.metric("run.completed", 0.0) != 0.0;
-  r.time_s = view.metric("run.download_time_s", 0.0);
-  r.energy_j = view.metric("run.energy_j", 0.0);
-  r.wifi_j = view.metric("run.wifi_j", 0.0);
-  r.cell_j = view.metric("run.cell_j", 0.0);
-  r.bytes = static_cast<std::uint64_t>(view.metric("run.bytes_received", 0.0));
-  r.retransmits =
-      static_cast<std::uint64_t>(view.metric("tcp.retransmits", 0.0));
-  r.rtos = static_cast<std::uint64_t>(view.metric("tcp.rtos", 0.0));
-  r.fast_recoveries =
-      static_cast<std::uint64_t>(view.metric("tcp.fast_recoveries", 0.0));
-  r.reinjections =
-      static_cast<std::uint64_t>(view.metric("mptcp.reinjected_chunks", 0.0));
+  // First wins, as for duplicate keys within a line.
+  const auto metric = [this](std::string_view name) {
+    for (const auto& [k, v] : metrics_) {
+      if (k == name) return v;
+    }
+    return 0.0;
+  };
+  const auto count = [&](std::string_view name) {
+    return static_cast<std::uint64_t>(metric(name));
+  };
+  r.completed = metric("run.completed") != 0.0;
+  r.time_s = metric("run.download_time_s");
+  r.energy_j = metric("run.energy_j");
+  r.wifi_j = metric("run.wifi_j");
+  r.cell_j = metric("run.cell_j");
+  r.bytes = count("run.bytes_received");
+  r.retransmits = count("tcp.retransmits");
+  r.rtos = count("tcp.rtos");
+  r.fast_recoveries = count("tcp.fast_recoveries");
+  r.reinjections = count("mptcp.reinjected_chunks");
   std::sort(r.sched_bytes_by_iface.begin(), r.sched_bytes_by_iface.end());
   return r;
-}
-
-RunRollup rollup_run(const RunManifest& manifest, const TraceData& trace) {
-  RollupBuilder b(manifest);
-  for (const FlatJson& e : trace.events) b.add_event(e);
-  for (const auto& [name, value] : trace.metrics) b.add_metric(name, value);
-  return b.finish();
 }
 
 double RunRollup::iface_share(std::string_view iface) const {

@@ -1,13 +1,15 @@
 // Per-connection/run rollups computed from serialized traces.
 //
-// The rollup consumes the PR-2 JSONL trace stream (events + metric
-// snapshot) and reduces it to the aggregate view the paper reports:
-// energy-per-bit, per-subflow byte shares, suspend/resume counts,
-// retransmission ratios, mode switches. It deliberately works on the
-// *serialized* form — the same bytes `emptcp-report` reads from disk —
-// so in-process tests and the offline CLI exercise one code path, and a
-// trace plus manifest is sufficient to reproduce every reported number
-// without re-running the simulation.
+// The rollup consumes the JSONL trace stream (events + metric snapshot)
+// and reduces it to the aggregate view the paper reports: energy-per-bit,
+// per-subflow byte shares, suspend/resume counts, retransmission ratios,
+// mode switches. It deliberately works on the *serialized* form — the
+// same bytes `emptcp-report` reads from disk — so in-process tests and
+// the offline CLI run one code path, and a trace plus manifest is
+// sufficient to reproduce every reported number without re-running the
+// simulation. That path is RollupBuilder::feed: text in chunks of any
+// size, each line scanned in place by one reused TraceLine and folded
+// straight into the counters. No trace is ever materialized.
 #pragma once
 
 #include <cstdint>
@@ -17,24 +19,11 @@
 #include <vector>
 
 #include "analysis/histogram.hpp"
-#include "analysis/json.hpp"
 #include "analysis/manifest.hpp"
+#include "analysis/trace_line.hpp"
 #include "analysis/windowed.hpp"
 
 namespace emptcp::analysis {
-
-/// A parsed JSONL trace: one FlatJson per event line, plus the metric
-/// snapshot lines ({"metric": name, "value": v}) in registration order.
-struct TraceData {
-  std::vector<FlatJson> events;
-  std::vector<std::pair<std::string, double>> metrics;
-
-  [[nodiscard]] double metric(std::string_view name, double fallback) const;
-};
-
-/// Parses JSONL trace text. Malformed lines abort with false and `err`.
-bool parse_trace_jsonl(std::string_view text, TraceData& out,
-                       std::string* err = nullptr);
 
 /// The per-run aggregate view.
 struct RunRollup {
@@ -106,21 +95,21 @@ struct RunRollup {
   [[nodiscard]] double iface_share(std::string_view iface) const;
 };
 
-RunRollup rollup_run(const RunManifest& manifest, const TraceData& trace);
-
-/// Streaming rollup: fold one parsed trace line at a time, never retaining
+/// Streaming rollup: folds JSONL text chunk by chunk, never retaining
 /// events. This is what `emptcp-report` runs over multi-hundred-MB traces
-/// — memory stays O(interfaces + covered-time/window), independent of
-/// event count. `rollup_run` above is a convenience wrapper over this for
-/// already-materialized TraceData.
+/// — memory stays O(interfaces + covered-time/window + one line),
+/// independent of event count.
 class RollupBuilder {
  public:
   explicit RollupBuilder(const RunManifest& manifest);
 
-  /// Folds one parsed JSONL line — event or metric line, auto-detected.
-  void add_line(const FlatJson& doc);
-  void add_event(const FlatJson& event);
-  void add_metric(const std::string& name, double value);
+  /// Folds the next piece of JSONL text. Pieces may split lines anywhere;
+  /// a partial line waits for the rest. False on the first malformed
+  /// line, with `err` naming it ("line N: offset M: message").
+  bool feed(std::string_view chunk, std::string& err);
+  /// Folds a final line that has no newline. Call once, after the last
+  /// feed.
+  bool close(std::string& err);
 
   /// The finished rollup (metric-derived fields resolved on each call).
   [[nodiscard]] RunRollup finish() const;
@@ -130,6 +119,14 @@ class RollupBuilder {
   [[nodiscard]] const WindowedAggregator& power() const { return power_; }
 
  private:
+  bool fold(std::string_view line, std::string& err);
+  /// One scanned line: a metric line when it has a string "metric" field,
+  /// otherwise an event dispatched on its "kind".
+  void add(const TraceLine& line);
+
+  TraceLine line_;
+  std::string carry_;  ///< partial line from the previous chunk
+  std::size_t line_no_ = 0;
   RunRollup r_;  ///< event-derived counters accumulate here
   std::vector<std::pair<std::string, double>> metrics_;
   /// Per-interface integrator state. Sharded fleets emit one co-timed

@@ -18,6 +18,7 @@
 #include "runtime/replication.hpp"
 #include "runtime/telemetry.hpp"
 #include "stats/csv.hpp"
+#include "stats/digest.hpp"
 #include "stats/trace_export.hpp"
 #include "workload/sharded_fleet.hpp"
 
@@ -221,11 +222,13 @@ std::string CampaignRunner::run_cell(const CampaignCell& cell) {
     m = workload::run_fleet(cfg, cell.derived_seed);
   }
 
-  const std::string jsonl =
-      stats::trace_to_jsonl(m.run.trace_events, m.run.trace_metrics);
+  // Streamed: the trace is digested chunk by chunk as it is written, so
+  // no whole-trace string exists.
   const std::string trace_file = cell.label + ".jsonl";
   const std::string trace_path = out_dir_ + "/" + trace_file;
-  if (!stats::write_file(trace_path, jsonl)) {
+  std::string trace_digest;
+  if (!stats::write_trace_jsonl(trace_path, m.run.trace_events,
+                                m.run.trace_metrics, trace_digest)) {
     throw std::runtime_error("campaign: cannot write " + trace_path);
   }
 
@@ -243,7 +246,7 @@ std::string CampaignRunner::run_cell(const CampaignCell& cell) {
   }
   manifest.trace_file = trace_file;
   manifest.trace_events = m.run.trace_events.size();
-  manifest.trace_digest = analysis::fnv1a64_hex(jsonl);
+  manifest.trace_digest = trace_digest;
   manifest.params = analysis::describe_scenario(cfg.scenario);
   manifest.params.emplace_back("fleet.clients",
                                std::to_string(cell.fleet_size));
@@ -340,16 +343,16 @@ CampaignResult CampaignRunner::run(std::size_t workers) {
     const std::string* led = ledger_digest(ledger, cell.label);
     if (led != nullptr) {
       std::string manifest_text;
-      std::string trace_text;
+      std::string trace_digest;
       if (read_file(out_dir_ + "/" + cell.label + ".manifest.json",
                     manifest_text) &&
-          read_file(out_dir_ + "/" + cell.label + ".jsonl", trace_text)) {
+          stats::digest_file(out_dir_ + "/" + cell.label + ".jsonl",
+                             trace_digest)) {
         std::string err;
         analysis::RunManifest manifest;
         const auto doc = analysis::parse_json_flat(manifest_text, &err);
         if (doc && analysis::manifest_from_json(*doc, manifest) &&
-            manifest.trace_digest == *led &&
-            analysis::fnv1a64_hex(trace_text) == *led) {
+            manifest.trace_digest == *led && trace_digest == *led) {
           complete[i] = true;
           digests[i] = *led;
         }

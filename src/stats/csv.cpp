@@ -1,39 +1,82 @@
 #include "stats/csv.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
+#include <cmath>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 
 namespace emptcp::stats {
+namespace {
+
+char* put(char* out, std::string_view s) {
+  std::memcpy(out, s.data(), s.size());
+  return out + s.size();
+}
+
+}  // namespace
+
+char* write_double(char* out, double v) {
+  // %g spells the non-finite values "nan", "-nan", "inf" and "-inf". NaN
+  // never compares equal to itself, so no precision "round-trips" it and
+  // the rule falls through to %.17g, which prints the same word.
+  if (std::isnan(v)) return put(out, std::signbit(v) ? "-nan" : "nan");
+  if (std::isinf(v)) return put(out, v < 0.0 ? "-inf" : "inf");
+  // The shortest round-trip text has the fewest significant digits any
+  // decimal that parses back to v can have, so no %g precision below that
+  // count round-trips: the search starts there (at least at 6). %g rounds
+  // to nearest, which at a binade edge can miss the interval the shortest
+  // text hit, so the next precision is sometimes needed; 17 always works.
+  char shortest[32];
+  const char* const e =
+      std::to_chars(shortest, shortest + sizeof(shortest), v,
+                    std::chars_format::scientific)
+          .ptr;
+  int digits = 0;
+  for (const char* c = shortest; c != e && *c != 'e'; ++c) {
+    digits += *c >= '0' && *c <= '9' ? 1 : 0;
+  }
+  for (int prec = std::max(6, digits);; ++prec) {
+    char* const end = std::to_chars(out, out + kMaxDoubleChars, v,
+                                    std::chars_format::general, prec)
+                          .ptr;
+    double back = 0.0;
+    std::from_chars(out, end, back);
+    if (back == v || prec >= 17) return end;
+  }
+}
 
 std::string fmt_double(double v) {
-  char buf[64];
-  for (int prec = 6; prec <= 17; ++prec) {
-    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
-    double back = 0.0;
-    std::sscanf(buf, "%lf", &back);
-    if (back == v) break;
+  char buf[kMaxDoubleChars];
+  return std::string(buf, write_double(buf, v));
+}
+
+char* write_json_string(char* out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  *out++ = '"';
+  for (const char c : s) {
+    const auto u = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      *out++ = '\\';
+      *out++ = c;
+    } else if (u < 0x20) {
+      out = put(out, "\\u00");
+      *out++ = kHex[u >> 4];
+      *out++ = kHex[u & 0xF];
+    } else {
+      *out++ = c;
+    }
   }
-  return buf;
+  *out++ = '"';
+  return out;
 }
 
 void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x",
-                    static_cast<unsigned>(static_cast<unsigned char>(c)));
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
+  const std::size_t at = out.size();
+  out.resize(at + 2 + 6 * s.size());
+  out.resize(static_cast<std::size_t>(
+      write_json_string(out.data() + at, s) - out.data()));
 }
 
 std::string csv_field(const std::string& value) {
@@ -191,7 +234,10 @@ bool write_file(const std::string& path, const std::string& text) {
   std::ofstream out(path, std::ios::trunc);
   if (!out) return false;
   out << text;
-  return static_cast<bool>(out);
+  // Small files sit in the stream's buffer until close flushes them, so a
+  // full disk shows only there.
+  out.close();
+  return !out.fail();
 }
 
 }  // namespace emptcp::stats

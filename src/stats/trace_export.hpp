@@ -6,6 +6,10 @@
 // precision via a locale-independent formatter. Two runs of the same
 // (scenario, seed) therefore produce byte-identical text — the property
 // the golden-trace tests pin down with trace::diff_trace_text.
+//
+// One appender formats every line into a bounded buffer (~256 KB). The
+// in-memory form collects the chunks into a string; the file form digests
+// each chunk and writes it, so no whole-trace string ever exists.
 #pragma once
 
 #include <string>
@@ -23,5 +27,14 @@ namespace emptcp::stats {
 std::string trace_to_jsonl(
     const std::vector<trace::Event>& events,
     const std::vector<trace::MetricSnapshot>& metrics = {});
+
+/// Writes exactly trace_to_jsonl(events, metrics) to `path`, chunk by
+/// chunk, and sets `digest_hex` to the FNV-1a digest of those bytes
+/// (stats::fnv1a64_hex form). False when the file cannot be opened or
+/// any write or the final close fails.
+bool write_trace_jsonl(const std::string& path,
+                       const std::vector<trace::Event>& events,
+                       const std::vector<trace::MetricSnapshot>& metrics,
+                       std::string& digest_hex);
 
 }  // namespace emptcp::stats

@@ -4,8 +4,9 @@
 // down two things at once:
 //   1. the simulation + trace serialization is deterministic: regenerating
 //      the artifacts in-process reproduces the committed bytes exactly;
-//   2. `render_report` over those artifacts is byte-identical to the
-//      committed report, independent of input order.
+//   2. `render_report` over those artifacts, loaded through
+//      load_analyzed_runs as emptcp-report loads them, is byte-identical
+//      to the committed report, independent of input order.
 // Regenerate after an intentional behavior change with
 //   EMPTCP_REGEN_GOLDEN=1 ctest -R GoldenReport
 // and commit the refreshed files under tests/data/golden/.
@@ -20,6 +21,7 @@
 
 #include "analysis/manifest.hpp"
 #include "analysis/report.hpp"
+#include "analysis/report_io.hpp"
 #include "analysis/rollup.hpp"
 #include "app/scenario.hpp"
 #include "stats/trace_export.hpp"
@@ -99,24 +101,11 @@ void write_file(const fs::path& p, const std::string& text) {
   ASSERT_TRUE(out.good()) << "write failed: " << p;
 }
 
-std::vector<LoadedRun> load_committed() {
-  std::vector<LoadedRun> runs;
-  for (const GoldenCase& c : cases()) {
-    const fs::path mpath = golden_dir() / (artifact_stem(c) + ".manifest.json");
-    const std::string mtext = read_file(mpath);
-    EXPECT_FALSE(mtext.empty()) << mpath;
-    const auto doc = parse_json_flat(mtext);
-    EXPECT_TRUE(doc.has_value()) << mpath;
-    if (!doc) continue;
-    LoadedRun run;
-    EXPECT_TRUE(manifest_from_json(*doc, run.manifest)) << mpath;
-    run.source = mpath.filename().string();
-    const std::string jsonl = read_file(golden_dir() / run.manifest.trace_file);
-    run.digest_ok = fnv1a64_hex(jsonl) == run.manifest.trace_digest;
-    std::string err;
-    EXPECT_TRUE(parse_trace_jsonl(jsonl, run.trace, &err)) << err;
-    runs.push_back(std::move(run));
-  }
+/// The committed artifacts, loaded the way emptcp-report loads them.
+std::vector<AnalyzedRun> load_committed() {
+  std::vector<AnalyzedRun> runs;
+  std::string err;
+  EXPECT_TRUE(load_analyzed_runs({golden_dir().string()}, runs, err)) << err;
   return runs;
 }
 
@@ -128,20 +117,13 @@ bool regen_requested() {
 TEST(GoldenReportTest, ArtifactsMatchCurrentSimulation) {
   if (regen_requested()) {
     fs::create_directories(golden_dir());
-    std::vector<LoadedRun> runs;
     for (const GoldenCase& c : cases()) {
       const Artifact a = generate(c);
       write_file(golden_dir() / a.manifest.trace_file, a.jsonl);
       write_file(golden_dir() / (artifact_stem(c) + ".manifest.json"),
                  manifest_to_json(a.manifest));
-      // Same source label the loader derives, so the regen'd report is
-      // byte-identical to what the compare path renders.
-      runs.push_back(
-          LoadedRun{a.manifest, {}, true, artifact_stem(c) + ".manifest.json"});
-      std::string err;
-      ASSERT_TRUE(parse_trace_jsonl(a.jsonl, runs.back().trace, &err)) << err;
     }
-    write_file(golden_dir() / "report.txt", render_report(std::move(runs)));
+    write_file(golden_dir() / "report.txt", render_report(load_committed()));
     GTEST_SKIP() << "regenerated golden artifacts in " << golden_dir();
   }
   for (const GoldenCase& c : cases()) {
@@ -160,17 +142,38 @@ TEST(GoldenReportTest, ArtifactsMatchCurrentSimulation) {
 
 TEST(GoldenReportTest, ReportIsByteIdenticalToCommitted) {
   if (regen_requested()) GTEST_SKIP() << "regen mode";
-  std::vector<LoadedRun> runs = load_committed();
+  std::vector<AnalyzedRun> runs = load_committed();
   ASSERT_EQ(runs.size(), cases().size());
-  for (const LoadedRun& r : runs) {
+  for (const AnalyzedRun& r : runs) {
     EXPECT_TRUE(r.digest_ok) << r.source << ": digest mismatch";
   }
   const std::string expected = read_file(golden_dir() / "report.txt");
   ASSERT_FALSE(expected.empty());
   EXPECT_EQ(render_report(runs), expected);
   // Input order must not matter.
-  std::vector<LoadedRun> reversed(runs.rbegin(), runs.rend());
+  std::vector<AnalyzedRun> reversed(runs.rbegin(), runs.rend());
   EXPECT_EQ(render_report(std::move(reversed)), expected);
+}
+
+TEST(GoldenReportTest, StreamedWriterMatchesInMemoryTextAndDigest) {
+  // The campaign writes traces through write_trace_jsonl, which digests
+  // each chunk as it writes it; its file and digest must equal the
+  // in-memory text and a digest over it.
+  for (const GoldenCase& c : cases()) {
+    app::Scenario scenario(golden_config());
+    const app::RunMetrics m =
+        scenario.run_download(c.protocol, kDownloadBytes, c.seed);
+    const std::string jsonl =
+        stats::trace_to_jsonl(m.trace_events, m.trace_metrics);
+    const fs::path path = fs::path(::testing::TempDir()) /
+                          ("streamed-" + artifact_stem(c) + ".jsonl");
+    std::string digest;
+    ASSERT_TRUE(stats::write_trace_jsonl(path.string(), m.trace_events,
+                                         m.trace_metrics, digest));
+    EXPECT_EQ(read_file(path), jsonl) << artifact_stem(c);
+    EXPECT_EQ(digest, fnv1a64_hex(jsonl)) << artifact_stem(c);
+    fs::remove(path);
+  }
 }
 
 TEST(GoldenReportTest, RollupReproducesHeadlineNumbersFromTraceAlone) {
@@ -183,9 +186,10 @@ TEST(GoldenReportTest, RollupReproducesHeadlineNumbersFromTraceAlone) {
   const app::RunMetrics m =
       scenario.run_download(c.protocol, kDownloadBytes, c.seed);
   const Artifact a = generate(c);
-  TraceData t;
-  ASSERT_TRUE(parse_trace_jsonl(a.jsonl, t));
-  const RunRollup r = rollup_run(a.manifest, t);
+  RollupBuilder b(a.manifest);
+  std::string err;
+  ASSERT_TRUE(b.feed(a.jsonl, err) && b.close(err)) << err;
+  const RunRollup r = b.finish();
   EXPECT_EQ(r.completed, m.completed);
   EXPECT_DOUBLE_EQ(r.time_s, m.download_time_s);
   EXPECT_DOUBLE_EQ(r.energy_j, m.energy_j);

@@ -3,10 +3,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
+#include <cmath>
+#include <limits>
 #include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "analysis/manifest.hpp"
 #include "analysis/rollup.hpp"
+#include "analysis/trace_line.hpp"
+#include "stats/csv.hpp"
 
 namespace emptcp::analysis {
 namespace {
@@ -45,26 +53,165 @@ RunManifest test_manifest(const std::string& group, const std::string& proto,
   return m;
 }
 
+/// Folds `text` in `chunk`-byte pieces (0: whole) through the line fold
+/// stream_trace_file runs.
+bool fold(RollupBuilder& b, std::string_view text, std::string& err,
+          std::size_t chunk = 0) {
+  const std::size_t step = chunk == 0 ? std::max<std::size_t>(text.size(), 1)
+                                      : chunk;
+  for (std::size_t i = 0; i < text.size(); i += step) {
+    if (!b.feed(text.substr(i, step), err)) return false;
+  }
+  return b.close(err);
+}
+
+RunRollup rollup_text(std::string_view text) {
+  RollupBuilder b(test_manifest("g", "emptcp", 1));
+  std::string err;
+  EXPECT_TRUE(fold(b, text, err)) << err;
+  return b.finish();
+}
+
+/// The error folding `text` fails with ("" if it folds cleanly).
+std::string fold_error(std::string_view text) {
+  RollupBuilder b(test_manifest("g", "emptcp", 1));
+  std::string err;
+  return fold(b, text, err) ? std::string() : err;
+}
+
+AnalyzedRun analyzed(const RunManifest& m, bool digest_ok,
+                     const std::string& source) {
+  RollupBuilder b(m);
+  std::string err;
+  EXPECT_TRUE(fold(b, kTraceJsonl, err)) << err;
+  AnalyzedRun run;
+  run.rollup = b.finish();
+  run.power_windows = b.power().windows();
+  run.digest_ok = digest_ok;
+  run.source = source;
+  return run;
+}
+
 TEST(RollupTest, ParseTraceSeparatesEventsFromMetrics) {
-  TraceData t;
-  ASSERT_TRUE(parse_trace_jsonl(kTraceJsonl, t));
-  EXPECT_EQ(t.events.size(), 10u);
-  EXPECT_EQ(t.metrics.size(), 7u);
-  EXPECT_DOUBLE_EQ(t.metric("run.energy_j", 0.0), 1.25);
-  EXPECT_DOUBLE_EQ(t.metric("missing", -1.0), -1.0);
+  // 10 event lines and 7 metric lines: metric lines resolve the run.*
+  // gauges and never count as events.
+  const RunRollup r = rollup_text(kTraceJsonl);
+  EXPECT_EQ(r.events, 10u);
+  EXPECT_DOUBLE_EQ(r.energy_j, 1.25);
+  EXPECT_EQ(r.rtos, 0u);  // absent metric
 }
 
 TEST(RollupTest, MalformedLineReportsLineNumber) {
-  TraceData t;
+  const std::string err = fold_error("{\"t_ns\":1}\n{broken\n");
+  EXPECT_NE(err.find("line 2"), std::string::npos) << err;
+}
+
+TEST(RollupTest, MalformedLinesFailWithTheirLineNumber) {
+  const std::string ok =
+      R"({"t_ns":1,"kind":"cwnd","flow":1,"cwnd":2,"ssthresh":3})"
+      "\n";
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"nested object", R"({"t_ns":2,"kind":"warning","what":{"a":1}})"},
+      {"nested array", R"({"t_ns":2,"kind":"warning","v0":[1,2]})"},
+      {"trailing characters", R"({"t_ns":2,"kind":"srtt"} x)"},
+      {"unterminated string", R"({"t_ns":2,"kind":"srtt)"},
+      {"bad number in data_seq",
+       R"({"t_ns":2,"kind":"sched_pick","subflow":1,"iface":"wifi",)"
+       R"("data_seq":1.2.3,"len":1400})"},
+      {"bad number in cwnd",
+       R"({"t_ns":2,"kind":"cwnd","flow":1,"cwnd":-,"ssthresh":3})"},
+      {"leading zero", R"({"t_ns":02,"kind":"srtt"})"},
+      {"not an object", R"([1,2])"},
+  };
+  for (const auto& [what, line] : cases) {
+    const std::string err = fold_error(ok + ok + line + "\n" + ok);
+    EXPECT_EQ(err.rfind("line 3: ", 0), 0u) << what << ": " << err;
+  }
+  // A final line cut mid-object, without its newline.
+  const std::string err = fold_error(ok + ok + R"({"t_ns":2,"ki)");
+  EXPECT_EQ(err.rfind("line 3: ", 0), 0u) << err;
+}
+
+TEST(RollupTest, EscapedStringsKeyTheirDecodedBytes) {
+  const RunRollup r = rollup_text(
+      R"({"t_ns":1,"kind":"sched_pick","subflow":1,"iface":"w\"ifi",)"
+      R"("data_seq":0,"len":100})"
+      "\n"
+      R"({"t_ns":2,"kind":"sched_pick","subflow":1,"iface":"w\u0022ifi",)"
+      R"("data_seq":0,"len":50})"
+      "\n");
+  using Slot = std::pair<std::string, std::uint64_t>;
+  EXPECT_EQ(r.sched_bytes_by_iface, std::vector<Slot>{Slot("w\"ifi", 150)});
+}
+
+TEST(RollupTest, DuplicateKeysBoolsAndNonStringMetricsKeepTheirMeaning) {
+  const RunRollup r = rollup_text(
+      // Duplicate key: the first value wins.
+      R"({"t_ns":1,"kind":"sched_pick","iface":"wifi","len":100,"len":7})"
+      "\n"
+      // Bools widen to 1/0.
+      R"({"t_ns":2,"kind":"mp_prio","backup":true})"
+      "\n"
+      R"({"t_ns":3,"kind":"mp_prio","backup":false})"
+      "\n"
+      // A non-string "metric" makes the line an event, not a metric.
+      R"({"metric":1,"value":5,"kind":"warning"})"
+      "\n"
+      R"({"metric":"run.bytes_received","value":2600})"
+      "\n"
+      R"({"metric":"run.bytes_received","value":1})"
+      "\n");
+  using Slot = std::pair<std::string, std::uint64_t>;
+  EXPECT_EQ(r.sched_bytes_by_iface, std::vector<Slot>{Slot("wifi", 100)});
+  EXPECT_EQ(r.suspends, 1u);
+  EXPECT_EQ(r.resumes, 1u);
+  EXPECT_EQ(r.warnings, 1u);
+  EXPECT_EQ(r.events, 4u);
+  EXPECT_EQ(r.bytes, 2600u);  // first metric line of a name wins
+}
+
+TEST(TraceLineTest, ReadsBackEveryNumberTheWriterEmits) {
+  const double values[] = {0.0,
+                           -0.0,
+                           0.1,
+                           -1.0 / 3.0,
+                           1e300,
+                           5e-324,
+                           DBL_MAX,
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()};
+  TraceLine line;
   std::string err;
-  EXPECT_FALSE(parse_trace_jsonl("{\"t_ns\":1}\n{broken\n", t, &err));
-  EXPECT_NE(err.find("line 2"), std::string::npos);
+  for (const double v : values) {
+    const std::string text = "{\"v\":" + stats::fmt_double(v) + "}";
+    ASSERT_TRUE(line.scan(text, err)) << text << ": " << err;
+    EXPECT_EQ(line.num("v", 7.0), v) << text;
+    EXPECT_EQ(std::signbit(line.num("v", 7.0)), std::signbit(v)) << text;
+  }
+  for (const char* nan : {"nan", "-nan"}) {
+    const std::string text = std::string("{\"v\":") + nan + "}";
+    ASSERT_TRUE(line.scan(text, err)) << err;
+    EXPECT_TRUE(std::isnan(line.num("v", 0.0))) << nan;
+  }
+  // Out-of-range tokens read as a JSON reader reads them.
+  ASSERT_TRUE(line.scan(R"({"big":1e999,"tiny":-1e-999,"s":"x","n":null})",
+                        err))
+      << err;
+  EXPECT_EQ(line.num("big", 0.0), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(line.num("tiny", 1.0), 0.0);
+  EXPECT_EQ(line.num("s", 7.0), 7.0);  // strings and null fall back
+  EXPECT_EQ(line.num("n", 7.0), 7.0);
+  EXPECT_EQ(line.str("s"), "x");
+  EXPECT_EQ(line.str("n"), "");
+  // Spellings outside the grammar and the writer's words fail.
+  for (const char* bad : {"+1", ".5", "1.", "1e", "0x10", "Infinity", "NaN",
+                          "tru", "--1"}) {
+    EXPECT_FALSE(line.scan(std::string("{\"v\":") + bad + "}", err)) << bad;
+  }
 }
 
 TEST(RollupTest, RollupComputesPaperMetrics) {
-  TraceData t;
-  ASSERT_TRUE(parse_trace_jsonl(kTraceJsonl, t));
-  const RunRollup r = rollup_run(test_manifest("g", "emptcp", 1), t);
+  const RunRollup r = rollup_text(kTraceJsonl);
   EXPECT_TRUE(r.completed);
   EXPECT_DOUBLE_EQ(r.time_s, 2.0);
   EXPECT_DOUBLE_EQ(r.energy_j, 1.25);
@@ -87,36 +234,34 @@ TEST(RollupTest, RollupComputesPaperMetrics) {
   EXPECT_DOUBLE_EQ(r.integrated_energy_j, 0.5 + 0.7);
 }
 
-TEST(RollupTest, StreamingBuilderMatchesBatchRollup) {
-  // Folding the trace line-by-line through add_line (the emptcp-report
-  // streaming path) must agree exactly with the materialized rollup.
-  TraceData t;
-  ASSERT_TRUE(parse_trace_jsonl(kTraceJsonl, t));
+TEST(RollupTest, ChunkedFoldMatchesWholeTextFold) {
+  // Folding the trace in awkward 7-byte chunks (lines split everywhere)
+  // must agree exactly with folding it whole.
   const RunManifest m = test_manifest("g", "emptcp", 1);
-  const RunRollup batch = rollup_run(m, t);
-
-  RollupBuilder b(m);
-  std::string_view text = kTraceJsonl;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t nl = text.find('\n', pos);
-    if (nl == std::string_view::npos) nl = text.size();
-    const auto doc = parse_json_flat(text.substr(pos, nl - pos));
-    ASSERT_TRUE(doc.has_value());
-    b.add_line(*doc);
-    pos = nl + 1;
-  }
-  const RunRollup streamed = b.finish();
-  EXPECT_EQ(streamed.events, batch.events);
-  EXPECT_EQ(streamed.sched_picks, batch.sched_picks);
-  EXPECT_EQ(streamed.sched_bytes_by_iface, batch.sched_bytes_by_iface);
-  EXPECT_EQ(streamed.suspends, batch.suspends);
-  EXPECT_DOUBLE_EQ(streamed.energy_j, batch.energy_j);
-  EXPECT_DOUBLE_EQ(streamed.integrated_energy_j, batch.integrated_energy_j);
-  EXPECT_EQ(streamed.bytes, batch.bytes);
-  EXPECT_EQ(streamed.retransmits, batch.retransmits);
+  RollupBuilder whole(m);
+  RollupBuilder chunked(m);
+  std::string err;
+  ASSERT_TRUE(fold(whole, kTraceJsonl, err)) << err;
+  ASSERT_TRUE(fold(chunked, kTraceJsonl, err, 7)) << err;
+  const RunRollup a = whole.finish();
+  const RunRollup b = chunked.finish();
+  EXPECT_EQ(b.events, a.events);
+  EXPECT_EQ(b.sched_picks, a.sched_picks);
+  EXPECT_EQ(b.sched_bytes_by_iface, a.sched_bytes_by_iface);
+  EXPECT_EQ(b.suspends, a.suspends);
+  EXPECT_EQ(b.resumes, a.resumes);
+  EXPECT_EQ(b.mode_changes, a.mode_changes);
+  EXPECT_EQ(b.radio_transitions, a.radio_transitions);
+  EXPECT_EQ(b.warnings, a.warnings);
+  EXPECT_EQ(b.completed, a.completed);
+  EXPECT_DOUBLE_EQ(b.time_s, a.time_s);
+  EXPECT_DOUBLE_EQ(b.energy_j, a.energy_j);
+  EXPECT_DOUBLE_EQ(b.integrated_energy_j, a.integrated_energy_j);
+  EXPECT_EQ(b.bytes, a.bytes);
+  EXPECT_EQ(b.retransmits, a.retransmits);
   // The single pass also produced the power-timeline windows.
-  EXPECT_GT(b.power().count(), 0u);
+  ASSERT_GT(whole.power().count(), 0u);
+  EXPECT_EQ(chunked.power().count(), whole.power().count());
 }
 
 TEST(ManifestStreamTest, ChunkedDigestMatchesWholeString) {
@@ -131,11 +276,9 @@ TEST(ManifestStreamTest, ChunkedDigestMatchesWholeString) {
 }
 
 TEST(ReportTest, RenderIsDeterministicAndOrderIndependent) {
-  TraceData t;
-  ASSERT_TRUE(parse_trace_jsonl(kTraceJsonl, t));
-  LoadedRun a{test_manifest("g", "emptcp", 1), t, true, "a"};
-  LoadedRun b{test_manifest("g", "emptcp", 2), t, true, "b"};
-  LoadedRun c{test_manifest("g", "mptcp", 1), t, true, "c"};
+  const AnalyzedRun a = analyzed(test_manifest("g", "emptcp", 1), true, "a");
+  const AnalyzedRun b = analyzed(test_manifest("g", "emptcp", 2), true, "b");
+  const AnalyzedRun c = analyzed(test_manifest("g", "mptcp", 1), true, "c");
   const std::string fwd = render_report({a, b, c});
   const std::string rev = render_report({c, b, a});
   EXPECT_EQ(fwd, rev);
@@ -146,10 +289,8 @@ TEST(ReportTest, RenderIsDeterministicAndOrderIndependent) {
 }
 
 TEST(ReportTest, DigestMismatchSurfacesInIntegritySection) {
-  TraceData t;
-  ASSERT_TRUE(parse_trace_jsonl(kTraceJsonl, t));
-  LoadedRun bad{test_manifest("g", "emptcp", 1), t, false, "stale.json"};
-  const std::string report = render_report({bad});
+  const std::string report = render_report(
+      {analyzed(test_manifest("g", "emptcp", 1), false, "stale.json")});
   EXPECT_NE(report.find("DIGEST MISMATCH"), std::string::npos);
   EXPECT_NE(report.find("stale.json"), std::string::npos);
 }

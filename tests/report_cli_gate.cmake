@@ -1,9 +1,13 @@
 # CLI contract gate for emptcp-report: --help prints usage and exits 0;
 # bad invocations print usage to stderr and exit 2 (never 0, never crash).
-# Invoked by ctest with -DREPORT_TOOL=<path to emptcp-report>.
-if(NOT DEFINED REPORT_TOOL)
-  message(FATAL_ERROR "report_cli_gate: missing -DREPORT_TOOL")
-endif()
+# A --rollup-json file that cannot be written in full also exits 2.
+# Invoked by ctest with -DREPORT_TOOL=<path to emptcp-report> and
+# -DGOLDEN_DIR=<tests/data/golden>.
+foreach(var REPORT_TOOL GOLDEN_DIR)
+  if(NOT DEFINED ${var})
+    message(FATAL_ERROR "report_cli_gate: missing -D${var}")
+  endif()
+endforeach()
 
 function(expect_run rc_expected out_match err_match)
   execute_process(
@@ -45,5 +49,12 @@ expect_run(2 "" "--tol needs" --diff a.json b.json --tol)
 
 # Nonexistent report directory: diagnostic on stderr, exit 2.
 expect_run(2 "" "" /nonexistent-dir-for-report-gate)
+
+# --rollup-json onto a full device: the lost bytes show only when the
+# file closes, and must still fail the run.
+if(EXISTS /dev/full)
+  expect_run(2 "" "cannot write /dev/full"
+             ${GOLDEN_DIR} --rollup-json /dev/full)
+endif()
 
 message(STATUS "report_cli_gate: all CLI contract checks passed")

@@ -2,11 +2,97 @@
 
 #include <gtest/gtest.h>
 
+#include <cfloat>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <limits>
+#include <random>
+#include <thread>
+#include <vector>
 
 namespace emptcp::stats {
 namespace {
+
+/// fmt_double's rule in its first form, kept as the reference: the
+/// smallest %.*g precision >= 6 whose text sscanf parses back to v.
+std::string reference_fmt_double(double v) {
+  char buf[64];
+  for (int prec = 6; prec <= 17; ++prec) {
+    std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+    double back = 0.0;
+    std::sscanf(buf, "%lf", &back);
+    if (back == v) break;
+  }
+  return buf;
+}
+
+std::string hex(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+TEST(FmtDoubleTest, MatchesReferenceOnEdgeValues) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> values = {
+      0.0,     kInf,    std::numeric_limits<double>::quiet_NaN(),
+      DBL_MAX, DBL_MIN, DBL_TRUE_MIN,
+      std::nextafter(DBL_MIN, 0.0),  // largest subnormal
+      0.1,     1.0 / 3.0, 12.5, 9.0};
+  const auto with_neighbours = [&values](double v) {
+    values.push_back(v);
+    values.push_back(std::nextafter(v, 0.0));
+    values.push_back(std::nextafter(v, kInf));
+  };
+  for (int e = -1074; e <= 1023; ++e) with_neighbours(std::ldexp(1.0, e));
+  for (int e = -323; e <= 308; ++e) {
+    with_neighbours(std::strtod(("1e" + std::to_string(e)).c_str(), nullptr));
+  }
+  for (const double v : values) {
+    EXPECT_EQ(fmt_double(v), reference_fmt_double(v)) << hex(v);
+    EXPECT_EQ(fmt_double(-v), reference_fmt_double(-v)) << hex(-v);
+  }
+}
+
+TEST(FmtDoubleTest, MatchesReferenceOnRandomBitPatterns) {
+  // 2^20 uniformly random bit patterns: every exponent, subnormals, NaN
+  // payloads of both signs. The reference needs ~17 us for most of them
+  // (it walks every precision up to 17), so four threads share the work.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kPerThread = (std::size_t{1} << 20) / kThreads;
+  std::vector<std::size_t> mismatches(kThreads, 0);
+  std::vector<std::string> first(kThreads);
+  std::vector<std::thread> pool;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    pool.emplace_back([t, &mismatches, &first] {
+      std::mt19937_64 rng(0x5eed + t);
+      for (std::size_t i = 0; i < kPerThread; ++i) {
+        const std::uint64_t bits = rng();
+        double v = 0.0;
+        std::memcpy(&v, &bits, sizeof(v));
+        const std::string got = fmt_double(v);
+        const std::string want = reference_fmt_double(v);
+        if (got != want && mismatches[t]++ == 0) {
+          first[t] = hex(v) + ": " + got + " != " + want;
+        }
+      }
+    });
+  }
+  for (std::thread& th : pool) th.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << first[t];
+  }
+}
+
+TEST(FmtDoubleTest, LongestOutputFitsTheDeclaredRoom) {
+  EXPECT_EQ(fmt_double(-DBL_MIN).size(), kMaxDoubleChars);
+  EXPECT_EQ(fmt_double(-DBL_MIN), "-2.2250738585072014e-308");
+}
 
 TEST(CsvTest, PlainFieldsUnquoted) {
   EXPECT_EQ(csv_field("hello"), "hello");
@@ -92,6 +178,14 @@ TEST(CsvTest, WriteFileRoundTrips) {
 
 TEST(CsvTest, WriteFileFailsOnBadPath) {
   EXPECT_FALSE(write_file("/nonexistent-dir-xyz/file.csv", "x"));
+}
+
+TEST(CsvTest, WriteFileFailsOnFullDevice) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  // A small file sits in the stream's buffer until close flushes it, so
+  // only the close sees the device refuse it.
+  EXPECT_FALSE(write_file("/dev/full", std::string(100, 'x')));
+  EXPECT_FALSE(write_file("/dev/full", std::string(1 << 20, 'x')));
 }
 
 }  // namespace

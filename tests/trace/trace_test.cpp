@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 
 #include "sim/simulation.hpp"
+#include "stats/digest.hpp"
 #include "stats/trace_export.hpp"
 #include "trace/sink.hpp"
 #include "trace/trace_diff.hpp"
@@ -211,6 +215,57 @@ TEST(TraceExportTest, JsonlDoublesRoundTripShortest) {
   EXPECT_NE(jsonl.find("\"mbps\":0.1,"), std::string::npos) << jsonl;
   EXPECT_NE(jsonl.find("\"extra\":0.3333333333333333"), std::string::npos)
       << jsonl;
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream out;
+  out << in.rdbuf();
+  return out.str();
+}
+
+TEST(TraceExportTest, StreamedWriterMatchesInMemoryAcrossChunkBoundaries) {
+  // ~1.2 MB of lines, so the writer's 256 KB buffer fills several times
+  // with a line straddling each boundary, plus one label whose escaped
+  // form alone is longer than the buffer.
+  static const std::string long_label =
+      std::string(50000, 'q') + "\"\\\x01";
+  TraceSink sink;
+  sink.enable();
+  for (std::uint32_t i = 0; i < 15000; ++i) {
+    const sim::Time t = static_cast<sim::Time>(i) * 1000;
+    sink.sched_pick(t, i % 3, i % 2 == 0 ? "wifi" : "cell", i * 1400ULL, 1400);
+    if (i % 100 == 0) {
+      sink.energy_sample(t, 0, "wifi", i / 7.0, -1e-3 * i);
+    }
+    if (i == 7000) sink.warning(t, long_label.c_str(), 1, 2);
+  }
+  sink.metrics().counter("tcp.rtos").add(3);
+  const std::vector<MetricSnapshot> metrics = sink.metrics().snapshot();
+  const std::string expected = stats::trace_to_jsonl(sink.events(), metrics);
+  ASSERT_GT(expected.size(), 4u * 256 * 1024);
+  EXPECT_NE(expected.find("\"what\":\"qqqq"), std::string::npos);
+  EXPECT_NE(expected.find("qqq\\\"\\\\\\u0001\",\"v0\":1,"),
+            std::string::npos);
+
+  const std::string path = ::testing::TempDir() + "/emptcp_streamed.jsonl";
+  std::string digest;
+  ASSERT_TRUE(
+      stats::write_trace_jsonl(path, sink.events(), metrics, digest));
+  EXPECT_EQ(slurp(path), expected);
+  EXPECT_EQ(digest, stats::fnv1a64_hex(expected));
+  std::filesystem::remove(path);
+}
+
+TEST(TraceExportTest, StreamedWriterFailsOnFullDevice) {
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  TraceSink sink;
+  sink.enable();
+  sink.cwnd(1, 7, 14600, 65535);
+  std::string digest;
+  EXPECT_FALSE(
+      stats::write_trace_jsonl("/dev/full", sink.events(), {}, digest));
+  EXPECT_TRUE(digest.empty());
 }
 
 }  // namespace

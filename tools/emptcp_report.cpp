@@ -27,6 +27,7 @@
 #include "analysis/perf_report.hpp"
 #include "analysis/report.hpp"
 #include "analysis/report_io.hpp"
+#include "stats/csv.hpp"
 
 namespace {
 
@@ -99,14 +100,11 @@ int run_report(const std::vector<std::string>& args) {
     return 2;
   }
   if (!rollup_json.empty()) {
-    const std::string flat = analysis::rollup_flat_json(runs);
-    std::ofstream out(rollup_json, std::ios::binary);
-    if (!out) {
+    if (!stats::write_file(rollup_json, analysis::rollup_flat_json(runs))) {
       std::fprintf(stderr, "emptcp-report: cannot write %s\n",
                    rollup_json.c_str());
       return 2;
     }
-    out << flat;
   }
   const std::string report = analysis::render_report(std::move(runs));
   std::fwrite(report.data(), 1, report.size(), stdout);
