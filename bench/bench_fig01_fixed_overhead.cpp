@@ -18,7 +18,7 @@ using namespace emptcp;
 double measured_overhead_j(const energy::InterfacePowerParams& params,
                            net::InterfaceType type) {
   sim::Simulation sim(1);
-  net::Node node(sim, "dev");
+  net::Node node(sim);
   auto& ifc = node.add_interface({type, 1, "radio"});
   net::Link link(sim, net::Link::Config{});
   ifc.set_default_route(link);

@@ -14,17 +14,15 @@ int main() {
 
   // Fig. 11: print the route's distance/rate profile.
   {
-    sim::Simulation sim(1);
-    net::WifiChannel ch(sim, {18.0, 0.0});
-    net::MobilityModel mob(sim, ch,
-                           net::MobilityModel::umass_corridor_route());
+    const net::MobilityModel::Config route =
+        net::MobilityModel::umass_corridor_route();
     std::printf("route profile (Fig. 11): distance to AP and achievable "
                 "WiFi rate\n");
     stats::Table table({"t (s)", "distance (m)", "wifi rate (Mbps)"});
     for (double t = 0.0; t <= 250.0; t += 25.0) {
       table.add_row({stats::Table::num(t, 0),
-                     stats::Table::num(mob.distance_at(t), 1),
-                     stats::Table::num(mob.rate_at(t), 1)});
+                     stats::Table::num(route.distance_at(t), 1),
+                     stats::Table::num(route.rate_at(t), 1)});
     }
     std::printf("%s\n", table.render().c_str());
   }

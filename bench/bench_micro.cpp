@@ -395,21 +395,27 @@ void measure_gate(bool flight, std::uint64_t& ops_out, double& seconds_out,
   allocs_out = static_cast<double>(allocs) / static_cast<double>(kOps);
 }
 
-// 256 concurrent eMPTCP clients in one simulation, closed loop on flow
-// sizes far larger than the measured window can serve — so the window is
-// pure steady-state multiplexing (no connection churn) and the
-// allocations/event figure isolates the per-event hot path at fleet scale.
-void measure_fleet(CoreResult& out) {
+/// The fleet every fleet measurement drives: eMPTCP clients in a closed
+/// loop on flow sizes far larger than any measured window can serve, so a
+/// window is pure steady-state multiplexing with no connection churn.
+workload::FleetConfig endless_fleet(std::size_t clients) {
   workload::FleetConfig cfg;
   cfg.scenario.wifi.down_mbps = 90.0;
   cfg.scenario.cell.down_mbps = 40.0;
   cfg.scenario.record_series = false;
   cfg.protocol = app::Protocol::kEmptcp;
   cfg.mode = workload::FleetConfig::Mode::kClosed;
-  cfg.clients = 256;
+  cfg.clients = clients;
   cfg.flows_per_client = 0;  // endless: nothing completes mid-measurement
   cfg.flow_size.kind = workload::SizeDist::Kind::kFixed;
   cfg.flow_size.mean_bytes = 64ull * 1024 * 1024;
+  return cfg;
+}
+
+// 256 concurrent clients in one simulation: the allocations/event figure
+// isolates the per-event hot path at fleet scale.
+void measure_fleet(CoreResult& out) {
+  const workload::FleetConfig cfg = endless_fleet(256);
   workload::ClientFleet fleet(cfg);
   fleet.start(1);
   // Warm up: connection establishment plus slab/pool/ring/spare-node
@@ -436,17 +442,8 @@ void measure_fleet(CoreResult& out) {
 // fast path's home turf, so the wall-clock ratio against the packet run
 // is the honest speedup figure (same workload, same virtual time).
 void measure_fleet_hybrid(CoreResult& out) {
-  workload::FleetConfig cfg;
-  cfg.scenario.wifi.down_mbps = 90.0;
-  cfg.scenario.cell.down_mbps = 40.0;
-  cfg.scenario.record_series = false;
+  workload::FleetConfig cfg = endless_fleet(256);
   cfg.scenario.fidelity = sim::Fidelity::kHybrid;
-  cfg.protocol = app::Protocol::kEmptcp;
-  cfg.mode = workload::FleetConfig::Mode::kClosed;
-  cfg.clients = 256;
-  cfg.flows_per_client = 0;
-  cfg.flow_size.kind = workload::SizeDist::Kind::kFixed;
-  cfg.flow_size.mean_bytes = 64ull * 1024 * 1024;
   workload::ClientFleet fleet(cfg);
   fleet.start(1);
   // The warmup is longer than the packet fleet's quick warmup on purpose:
@@ -474,16 +471,7 @@ void measure_fleet_hybrid(CoreResult& out) {
 double run_sharded_window(std::size_t clients, std::size_t per_cell,
                           std::size_t shards, double warm_s, double window_s,
                           std::uint64_t& events_out) {
-  workload::FleetConfig cfg;
-  cfg.scenario.wifi.down_mbps = 90.0;
-  cfg.scenario.cell.down_mbps = 40.0;
-  cfg.scenario.record_series = false;
-  cfg.protocol = app::Protocol::kEmptcp;
-  cfg.mode = workload::FleetConfig::Mode::kClosed;
-  cfg.clients = clients;
-  cfg.flows_per_client = 0;  // endless: nothing completes mid-measurement
-  cfg.flow_size.kind = workload::SizeDist::Kind::kFixed;
-  cfg.flow_size.mean_bytes = 64ull * 1024 * 1024;
+  workload::FleetConfig cfg = endless_fleet(clients);
   cfg.sharding.clients_per_cell = per_cell;
   cfg.sharding.shards = shards;
   workload::ShardedFleet fleet(cfg);

@@ -22,7 +22,6 @@
 #include "stats/summary.hpp"
 #include "stats/table.hpp"
 #include "stats/timeseries.hpp"
-#include "stats/trace_export.hpp"
 
 namespace emptcp::bench {
 
@@ -58,35 +57,12 @@ inline void maybe_dump_csv(
   }
 }
 
-/// True when EMPTCP_TRACE_DIR is set: benches should run with
-/// ScenarioConfig::trace enabled and dump each run via maybe_dump_trace.
-inline bool trace_requested() {
-  return std::getenv("EMPTCP_TRACE_DIR") != nullptr;
-}
-
-/// When EMPTCP_TRACE_DIR is set, writes one run's structured trace there
-/// as JSONL (deterministic, diffable with trace::diff_trace_text).
-inline void maybe_dump_trace(const std::string& name,
-                             const app::RunMetrics& m) {
-  const char* dir = std::getenv("EMPTCP_TRACE_DIR");
-  if (dir == nullptr) return;
-  std::string file = name;
-  for (char& c : file) {
-    if (c == '/' || c == ' ') c = '-';
-  }
-  const std::string path = std::string(dir) + "/" + file + ".jsonl";
-  if (stats::write_file(path,
-                        stats::trace_to_jsonl(m.trace_events,
-                                              m.trace_metrics))) {
-    std::printf("(wrote %s)\n", path.c_str());
-  }
-}
-
 /// When EMPTCP_TRACE_DIR is set, writes one run's trace as JSONL *plus* a
 /// run manifest next to it (`<name>.manifest.json`): grouping key,
 /// protocol, seed, workload, scenario + build parameters and an FNV-1a
 /// digest of the trace bytes. The pair is the self-describing artifact
-/// `emptcp-report` consumes.
+/// `emptcp-report` consumes; analysis::write_run_artifacts writes it, as
+/// it does for campaign cells.
 inline void maybe_dump_run(const std::string& group,
                            const app::ScenarioConfig& cfg, app::Protocol p,
                            std::uint64_t seed, const std::string& workload,
@@ -98,27 +74,17 @@ inline void maybe_dump_run(const std::string& group,
   for (char& c : file) {
     if (c == '/' || c == ' ') c = '-';
   }
-  const std::string jsonl =
-      stats::trace_to_jsonl(m.trace_events, m.trace_metrics);
-  const std::string trace_path = std::string(dir) + "/" + file + ".jsonl";
-  if (!stats::write_file(trace_path, jsonl)) return;
-
   analysis::RunManifest manifest;
   manifest.group = group;
   manifest.protocol = app::to_string(p);
   manifest.seed = seed;
   manifest.workload = workload;
-  manifest.trace_file = file + ".jsonl";
-  manifest.trace_events = m.trace_events.size();
-  manifest.trace_digest = analysis::fnv1a64_hex(jsonl);
   manifest.params = analysis::describe_scenario(cfg);
-  for (auto& kv : analysis::describe_build()) {
-    manifest.params.push_back(std::move(kv));
-  }
-  const std::string manifest_path =
-      std::string(dir) + "/" + file + ".manifest.json";
-  if (stats::write_file(manifest_path, analysis::manifest_to_json(manifest))) {
-    std::printf("(wrote %s + manifest)\n", trace_path.c_str());
+  if (analysis::write_run_artifacts(dir, file, m.trace_events,
+                                    m.trace_metrics, manifest)
+          .empty()) {
+    std::printf("(wrote %s/%s + manifest)\n", dir,
+                manifest.trace_file.c_str());
   }
 }
 
@@ -188,7 +154,7 @@ inline std::vector<std::vector<app::RunMetrics>> run_specs(
       specs, seeds, [](const RunSpec& rs, std::uint64_t pool_seed) {
         const std::uint64_t seed = rs.fixed_seed.value_or(pool_seed);
         app::ScenarioConfig cfg = rs.cfg_for ? rs.cfg_for(seed) : rs.cfg;
-        cfg.trace = trace_requested();
+        cfg.trace = std::getenv("EMPTCP_TRACE_DIR") != nullptr;
         app::Scenario s(cfg);
         app::RunMetrics m = rs.kind == RunSpec::Kind::kTimed
                                 ? s.run_timed(rs.protocol, rs.duration, seed)

@@ -2,6 +2,7 @@
 
 #include "app/scenario.hpp"
 #include "stats/csv.hpp"
+#include "stats/trace_export.hpp"
 #include "trace/trace.hpp"
 
 namespace emptcp::analysis {
@@ -117,6 +118,25 @@ bool manifest_from_json(const FlatJson& doc, RunManifest& out) {
     out.params.emplace_back(k.substr(kPrefix.size()), std::move(rendered));
   }
   return true;
+}
+
+std::string write_run_artifacts(
+    const std::string& dir, const std::string& base,
+    const std::vector<trace::Event>& events,
+    const std::vector<trace::MetricSnapshot>& metrics, RunManifest& manifest) {
+  manifest.trace_file = base + ".jsonl";
+  const std::string trace_path = dir + "/" + manifest.trace_file;
+  if (!stats::write_trace_jsonl(trace_path, events, metrics,
+                                manifest.trace_digest)) {
+    return trace_path;
+  }
+  manifest.trace_events = events.size();
+  for (auto& kv : describe_build()) manifest.params.push_back(std::move(kv));
+  const std::string manifest_path = dir + "/" + base + ".manifest.json";
+  if (!stats::write_file(manifest_path, manifest_to_json(manifest))) {
+    return manifest_path;
+  }
+  return "";
 }
 
 }  // namespace emptcp::analysis

@@ -16,6 +16,8 @@
 
 #include "analysis/json.hpp"
 #include "stats/digest.hpp"
+#include "trace/event.hpp"
+#include "trace/sink.hpp"
 
 namespace emptcp::app {
 struct ScenarioConfig;
@@ -60,5 +62,15 @@ std::string manifest_to_json(const RunManifest& m);
 /// Reconstructs a manifest from a parsed JSON document. Returns false if
 /// the schema marker is missing/unknown.
 bool manifest_from_json(const FlatJson& doc, RunManifest& out);
+
+/// Writes one run's artifact pair into `dir`: the trace as `<base>.jsonl`,
+/// streamed through stats::write_trace_jsonl (no whole-trace string), then
+/// `<base>.manifest.json`, once `manifest` has the trace file, event count
+/// and digest of that write and the build parameters after its own.
+/// Returns the path that could not be written, or "" once both are.
+std::string write_run_artifacts(
+    const std::string& dir, const std::string& base,
+    const std::vector<trace::Event>& events,
+    const std::vector<trace::MetricSnapshot>& metrics, RunManifest& manifest);
 
 }  // namespace emptcp::analysis

@@ -6,6 +6,7 @@
 #include "app/world.hpp"
 #include "mptcp/subflow.hpp"
 #include "net/packet.hpp"
+#include "sim/hooks.hpp"
 #include "trace/trace.hpp"
 
 namespace emptcp::app {
@@ -25,12 +26,12 @@ std::uint32_t flow_id(const mptcp::MptcpConnection& conn) {
 }  // namespace
 
 FastPath::FastPath(World& w, Config cfg) : w_(w), cfg_(cfg) {
-  mptcp::fastpath_hub(w_.sim).listener = this;
+  sim::hooks(w_.sim).fast_path = this;
 }
 
 FastPath::~FastPath() {
-  mptcp::FastPathHub& hub = mptcp::fastpath_hub(w_.sim);
-  if (hub.listener == this) hub.listener = nullptr;
+  sim::Hooks& hooks = sim::hooks(w_.sim);
+  if (hooks.fast_path == this) hooks.fast_path = nullptr;
   apply_wire_load(WireLoad{});
 }
 

@@ -1,6 +1,6 @@
 // FastPath: the hybrid-fidelity coordinator (DESIGN.md §13).
 //
-// Watches every MptcpConnection in a world through the FastPathHub and,
+// Watches every MptcpConnection in a world through sim::Hooks and,
 // when a flow proves quiescent — congestion avoidance on every subflow,
 // nothing in flight, no loss state, stable measured throughput — advances
 // it analytically in whole scheduler quanta instead of packet by packet:
@@ -24,7 +24,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "mptcp/fastpath_hub.hpp"
+#include "mptcp/fastpath_listener.hpp"
 #include "mptcp/meta_socket.hpp"
 
 namespace emptcp::app {

@@ -1,7 +1,9 @@
 #include "app/scenario.hpp"
 
 #include <cstring>
+#include <functional>
 #include <memory>
+#include <optional>
 
 #include "app/bulk_download.hpp"
 #include "app/world.hpp"
@@ -38,154 +40,134 @@ std::optional<Protocol> protocol_from_string(std::string_view name) {
   return std::nullopt;
 }
 
+namespace {
+
+/// The skeleton every Scenario::run_* shares: the world and its file
+/// server, then the caller's application (built before drive(), so its
+/// clients exist before the tracker starts), then drive().
+struct Run {
+  Run(const ScenarioConfig& cfg, std::uint64_t seed, bool close_after_response,
+      std::function<std::uint64_t(std::size_t, std::size_t)> resolver,
+      std::uint64_t request_bytes)
+      : w(cfg, seed),
+        server(w.sim, w.server,
+               {.port = kPort,
+                .request_bytes = request_bytes,
+                .close_after_response = close_after_response,
+                .resolver = std::move(resolver),
+                .mptcp = make_mptcp_cfg(cfg, true)}) {}
+
+  /// Starts the tracker, the dynamics and then the application; runs until
+  /// finish() (bounded by max_sim_time), then through the radio tails if it
+  /// finished. With a `horizon`, runs exactly that long instead, with no
+  /// drain. Returns whether the application finished.
+  bool drive(const std::function<void()>& start_app,
+             std::optional<sim::Duration> horizon = std::nullopt) {
+    w.tracker.start();
+    w.start_dynamics();
+    start_app();
+    if (horizon) {
+      w.sim.run_until(*horizon);
+    } else {
+      advance_until(w, [this] { return done_at.has_value(); },
+                    w.scfg.max_sim_time);
+      if (done_at) drain_tails(w, w.scfg.max_drain);
+    }
+    w.tracker.stop();
+    return horizon || done_at;
+  }
+
+  /// The application's completion callback.
+  void finish() { done_at = sim::to_seconds(w.sim.now()); }
+  /// When the application finished, or now if it never did.
+  [[nodiscard]] double end_s() const {
+    return done_at.value_or(sim::to_seconds(w.sim.now()));
+  }
+
+  World w;
+  FileServer server;
+  std::optional<double> done_at;
+};
+
+}  // namespace
+
 RunMetrics Scenario::run_download(Protocol p, std::uint64_t bytes,
                                   std::uint64_t seed) {
-  World w(cfg_, seed);
-
-  FileServer::Config scfg;
-  scfg.port = kPort;
-  scfg.request_bytes = cfg_.request_bytes;
-  scfg.close_after_response = true;
-  scfg.resolver = [bytes](std::size_t, std::size_t req) {
-    return req == 0 ? bytes : 0;
-  };
-  scfg.mptcp = make_mptcp_cfg(cfg_, true);
-  FileServer server(w.sim, w.server, std::move(scfg));
-
-  auto client = make_client(w, p);
-  bool eof = false;
-  double eof_at = 0.0;
+  Run run(
+      cfg_, seed, /*close_after_response=*/true,
+      [bytes](std::size_t, std::size_t req) { return req == 0 ? bytes : 0; },
+      cfg_.request_bytes);
+  auto client = make_client(run.w, p);
   ClientConnHandle::Callbacks cb;
   cb.on_established = [&] { client->send(cfg_.request_bytes); };
   cb.on_eof = [&] {
-    eof = true;
-    eof_at = sim::to_seconds(w.sim.now());
+    run.finish();
     client->shutdown_write();
   };
   client->set_callbacks(std::move(cb));
-
-  w.tracker.start();
-  w.start_dynamics();
-  client->connect();
-
-  advance_until(w, [&] { return eof; }, cfg_.max_sim_time);
-  const bool completed = eof;
-  if (completed) drain_tails(w, cfg_.max_drain);
-  w.tracker.stop();
-  return collect(w, *client, completed,
-                 completed ? eof_at : sim::to_seconds(w.sim.now()));
+  const bool completed = run.drive([&] { client->connect(); });
+  return collect(run.w, *client, completed, run.end_s());
 }
 
 RunMetrics Scenario::run_upload(Protocol p, std::uint64_t bytes,
                                 std::uint64_t seed) {
-  World w(cfg_, seed);
-
   // The server is a pure sink: it never responds, and half-closes its own
   // write side once the client finishes uploading.
-  FileServer::Config scfg;
-  scfg.port = kPort;
-  scfg.request_bytes = cfg_.request_bytes;
-  scfg.close_after_response = false;
-  scfg.resolver = [](std::size_t, std::size_t) { return 0; };
-  scfg.mptcp = make_mptcp_cfg(cfg_, true);
-  FileServer server(w.sim, w.server, std::move(scfg));
-
-  auto client = make_client(w, p);
-  bool done = false;
-  double done_at = 0.0;
+  Run run(
+      cfg_, seed, /*close_after_response=*/false,
+      [](std::size_t, std::size_t) { return 0; }, cfg_.request_bytes);
+  auto client = make_client(run.w, p);
   ClientConnHandle::Callbacks cb;
   cb.on_established = [&] {
     client->send(bytes);
     client->shutdown_write();
   };
-  cb.on_closed = [&] {
-    done = true;
-    done_at = sim::to_seconds(w.sim.now());
-  };
+  cb.on_closed = [&] { run.finish(); };
   client->set_callbacks(std::move(cb));
+  const bool completed = run.drive([&] { client->connect(); });
 
-  w.tracker.start();
-  w.start_dynamics();
-  client->connect();
-
-  advance_until(w, [&] { return done; }, cfg_.max_sim_time);
-  const bool completed = done;
-  if (completed) drain_tails(w, cfg_.max_drain);
-  w.tracker.stop();
-
-  RunMetrics m = collect(w, *client, completed,
-                         completed ? done_at : sim::to_seconds(w.sim.now()));
+  RunMetrics m = collect(run.w, *client, completed, run.end_s());
   // For uploads the interesting byte count is what the device pushed out.
   m.bytes_received = completed ? bytes : 0;
   if (m.download_time_s > 0.0) {
-    m.mean_wifi_mbps = static_cast<double>(w.wifi_if->tx_bytes()) * 8.0 /
-                       1e6 / m.download_time_s;
-    m.mean_cell_mbps = static_cast<double>(w.cell_if->tx_bytes()) * 8.0 /
-                       1e6 / m.download_time_s;
+    m.mean_wifi_mbps = static_cast<double>(run.w.wifi_if->tx_bytes()) *
+                       8.0 / 1e6 / m.download_time_s;
+    m.mean_cell_mbps = static_cast<double>(run.w.cell_if->tx_bytes()) *
+                       8.0 / 1e6 / m.download_time_s;
   }
   return m;
 }
 
 RunMetrics Scenario::run_timed(Protocol p, sim::Duration duration,
                                std::uint64_t seed) {
-  World w(cfg_, seed);
-
-  FileServer::Config scfg;
-  scfg.port = kPort;
-  scfg.request_bytes = cfg_.request_bytes;
-  scfg.close_after_response = false;  // endless stream
-  scfg.resolver = [](std::size_t, std::size_t req) {
-    return req == 0 ? std::uint64_t{1} << 40 : 0;  // effectively unbounded
-  };
-  scfg.mptcp = make_mptcp_cfg(cfg_, true);
-  FileServer server(w.sim, w.server, std::move(scfg));
-
-  auto client = make_client(w, p);
+  // An endless stream: one effectively unbounded response.
+  Run run(
+      cfg_, seed, /*close_after_response=*/false,
+      [](std::size_t, std::size_t req) {
+        return req == 0 ? std::uint64_t{1} << 40 : 0;
+      },
+      cfg_.request_bytes);
+  auto client = make_client(run.w, p);
   ClientConnHandle::Callbacks cb;
   cb.on_established = [&] { client->send(cfg_.request_bytes); };
   client->set_callbacks(std::move(cb));
-
-  w.tracker.start();
-  w.start_dynamics();
-  client->connect();
-
-  w.sim.run_until(duration);
-  w.tracker.stop();
-  return collect(w, *client, true, sim::to_seconds(duration));
+  run.drive([&] { client->connect(); }, duration);
+  return collect(run.w, *client, true, sim::to_seconds(duration));
 }
 
 RunMetrics Scenario::run_stream(Protocol p,
                                 VideoStreamClient::Config stream,
                                 std::uint64_t seed) {
-  World w(cfg_, seed);
-
   // The server answers every request with one media chunk.
-  FileServer::Config scfg;
-  scfg.port = kPort;
-  scfg.request_bytes = stream.request_bytes;
-  scfg.close_after_response = false;
-  scfg.resolver = [chunk = stream.chunk_bytes](std::size_t, std::size_t) {
-    return chunk;
-  };
-  scfg.mptcp = make_mptcp_cfg(cfg_, true);
-  FileServer server(w.sim, w.server, std::move(scfg));
+  Run run(
+      cfg_, seed, /*close_after_response=*/false,
+      [chunk = stream.chunk_bytes](std::size_t, std::size_t) { return chunk; },
+      stream.request_bytes);
+  VideoStreamClient player(run.w.sim, stream, make_client(run.w, p),
+                           [&] { run.finish(); });
+  const bool completed = run.drive([&] { player.start(); });
 
-  bool finished = false;
-  VideoStreamClient player(w.sim, stream, make_client(w, p),
-                           [&] { finished = true; });
-
-  w.tracker.start();
-  w.start_dynamics();
-  player.start();
-
-  advance_until(w, [&] { return finished; }, cfg_.max_sim_time);
-  const bool completed = finished;
-  if (completed) drain_tails(w, cfg_.max_drain);
-  w.tracker.stop();
-
-  RunMetrics m = collect(w, player.connection(), completed,
-                         completed ? player.stats().finished_at_s
-                                   : sim::to_seconds(w.sim.now()));
+  RunMetrics m = collect(run.w, player.connection(), completed, run.end_s());
   m.startup_delay_s = player.stats().started_at_s;
   m.stall_time_s = player.stats().stall_time_s;
   m.rebuffer_events = player.stats().rebuffer_events;
@@ -194,42 +176,24 @@ RunMetrics Scenario::run_stream(Protocol p,
 
 RunMetrics Scenario::run_web_page(Protocol p, const WebPage& page,
                                   std::size_t parallel, std::uint64_t seed) {
-  World w(cfg_, seed);
-
-  FileServer::Config scfg;
-  scfg.port = kPort;
-  scfg.request_bytes = cfg_.request_bytes;
-  scfg.close_after_response = false;  // persistent connections
-  scfg.resolver = [&page, parallel](std::size_t conn, std::size_t req) {
-    return page.object_for(conn, req, parallel);
-  };
-  scfg.mptcp = make_mptcp_cfg(cfg_, true);
-  FileServer server(w.sim, w.server, std::move(scfg));
-
-  bool loaded = false;
-  double loaded_at = 0.0;
+  // Persistent connections: the server half-closes only when the client
+  // does.
+  Run run(
+      cfg_, seed, /*close_after_response=*/false,
+      [&page, parallel](std::size_t conn, std::size_t req) {
+        return page.object_for(conn, req, parallel);
+      },
+      cfg_.request_bytes);
   WebBrowserClient::Config bcfg;
   bcfg.parallel = parallel;
   bcfg.request_bytes = cfg_.request_bytes;
+  // The browser opens its connections in start(), after the tracker.
   WebBrowserClient browser(
-      page, bcfg, [&] { return make_client(w, p); },
-      [&] {
-        loaded = true;
-        loaded_at = sim::to_seconds(w.sim.now());
-      });
-
-  w.tracker.start();
-  w.start_dynamics();
-  browser.start();
-
-  advance_until(w, [&] { return loaded; }, cfg_.max_sim_time);
-  const bool completed = loaded;
-  if (completed) drain_tails(w, cfg_.max_drain);
-  w.tracker.stop();
-
-  return collect_core(w, completed,
-                      completed ? loaded_at : sim::to_seconds(w.sim.now()),
-                      browser.bytes_received(), 0);
+      page, bcfg, [&] { return make_client(run.w, p); },
+      [&] { run.finish(); });
+  const bool completed = run.drive([&] { browser.start(); });
+  return collect_core(run.w, completed, run.end_s(), browser.bytes_received(),
+                      0);
 }
 
 }  // namespace emptcp::app

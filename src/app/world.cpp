@@ -1,6 +1,7 @@
 #include "app/world.hpp"
 
 #include <cmath>
+#include <type_traits>
 
 #include "app/fast_path.hpp"
 #include "baselines/mdp_scheduler.hpp"
@@ -43,8 +44,8 @@ World::World(const ScenarioConfig& cfg, std::uint64_t seed, Addressing addr)
     : scfg(cfg),
       addrs(addr),
       sim(seed),
-      client(sim, "client"),
-      server(sim, "server"),
+      client(sim),
+      server(sim),
       channel(sim, net::WifiChannel::Config{cfg.wifi.down_mbps, 0.008}),
       wifi_radio(cfg.device.wifi),
       cell_radio(cfg.cell_tech == energy::CellTech::kLte
@@ -196,7 +197,8 @@ std::vector<std::pair<double, double>> bandwidth_trace(
   std::vector<double> station_next(
       static_cast<std::size_t>(cfg.interferers), 0.0);
 
-  net::MobilityModel::Config mob = net::MobilityModel::umass_corridor_route();
+  const net::MobilityModel::Config mob =
+      net::MobilityModel::umass_corridor_route();
 
   for (int t = 0; t < seconds; ++t) {
     double wifi = cfg.wifi.down_mbps;
@@ -222,30 +224,8 @@ std::vector<std::pair<double, double>> bandwidth_trace(
     if (active > 0) wifi /= static_cast<double>(active + 1);
     if (cfg.mobility) {
       // Rate along the walking route, looped over the trace length.
-      const double route_t =
-          std::fmod(static_cast<double>(t), mob.route.back().t_s);
-      const double d = [&] {
-        net::Waypoint prev = mob.route.front();
-        for (const net::Waypoint& w : mob.route) {
-          if (route_t <= w.t_s) {
-            const double span = w.t_s - prev.t_s;
-            const double f = span > 0 ? (route_t - prev.t_s) / span : 0.0;
-            const double x = prev.x + f * (w.x - prev.x);
-            const double y = prev.y + f * (w.y - prev.y);
-            return std::hypot(x - mob.ap_x, y - mob.ap_y);
-          }
-          prev = w;
-        }
-        return std::hypot(mob.route.back().x - mob.ap_x,
-                          mob.route.back().y - mob.ap_y);
-      }();
-      if (d >= mob.usable_range_m) {
-        wifi = mob.floor_mbps;
-      } else {
-        const double frac = d / mob.usable_range_m;
-        wifi = std::max(mob.max_rate_mbps * (1.0 - frac * frac),
-                        mob.floor_mbps);
-      }
+      wifi = mob.rate_at(
+          std::fmod(static_cast<double>(t), mob.route.back().t_s));
     }
     trace.emplace_back(wifi, cfg.cell.down_mbps);
   }
@@ -318,58 +298,21 @@ class MetaHandle final : public ClientConnHandle {
   std::unique_ptr<baseline::MdpRunner> runner_;
 };
 
-class EmptcpHandle final : public ClientConnHandle {
+/// eMPTCP and WiFi-First: connections that open both subflows themselves,
+/// from the device's two addresses, behind the same API.
+template <class Conn>
+class DualPathHandle final : public ClientConnHandle {
  public:
-  EmptcpHandle(World& w, net::Addr server) : w_(w), server_(server) {
-    core::EmptcpConfig cfg = w.scfg.emptcp;
-    cfg.mptcp = make_mptcp_cfg(w.scfg, /*coupled=*/true);
-    conn_ = std::make_unique<core::EmptcpConnection>(
-        w.sim, w.client, std::move(cfg), w.eib(), &w.predictor());
-  }
+  DualPathHandle(World& w, net::Addr server, std::unique_ptr<Conn> conn)
+      : w_(w), server_(server), conn_(std::move(conn)) {}
 
   void set_callbacks(Callbacks cb) override {
-    core::EmptcpConnection::Callbacks ecb;
-    ecb.on_established = std::move(cb.on_established);
-    ecb.on_data = std::move(cb.on_data);
-    ecb.on_eof = std::move(cb.on_eof);
-    ecb.on_closed = std::move(cb.on_closed);
-    conn_->set_callbacks(std::move(ecb));
-  }
-  void set_app_tag(std::uint32_t tag) override {
-    conn_->mptcp().set_app_tag(tag);
-  }
-  void connect() override {
-    conn_->connect(w_.addrs.wifi, w_.addrs.cell, server_, kPort);
-  }
-  void send(std::uint64_t bytes) override { conn_->send(bytes); }
-  void shutdown_write() override { conn_->shutdown_write(); }
-  [[nodiscard]] std::uint64_t bytes_received() const override {
-    return conn_->data_bytes_received();
-  }
-  [[nodiscard]] std::uint64_t controller_switches() const override {
-    return conn_->controller().switch_count();
-  }
-
- private:
-  World& w_;
-  net::Addr server_;
-  std::unique_ptr<core::EmptcpConnection> conn_;
-};
-
-class WifiFirstHandle final : public ClientConnHandle {
- public:
-  WifiFirstHandle(World& w, net::Addr server) : w_(w), server_(server) {
-    conn_ = std::make_unique<baseline::WifiFirstConnection>(
-        w.sim, w.client, make_mptcp_cfg(w.scfg, /*coupled=*/true));
-  }
-
-  void set_callbacks(Callbacks cb) override {
-    mptcp::MptcpConnection::Callbacks mcb;
-    mcb.on_established = std::move(cb.on_established);
-    mcb.on_data = std::move(cb.on_data);
-    mcb.on_eof = std::move(cb.on_eof);
-    mcb.on_closed = std::move(cb.on_closed);
-    conn_->set_callbacks(std::move(mcb));
+    typename Conn::Callbacks c;
+    c.on_established = std::move(cb.on_established);
+    c.on_data = std::move(cb.on_data);
+    c.on_eof = std::move(cb.on_eof);
+    c.on_closed = std::move(cb.on_closed);
+    conn_->set_callbacks(std::move(c));
   }
   void set_app_tag(std::uint32_t tag) override {
     conn_->mptcp().set_app_tag(tag);
@@ -382,11 +325,17 @@ class WifiFirstHandle final : public ClientConnHandle {
   [[nodiscard]] std::uint64_t bytes_received() const override {
     return conn_->mptcp().data_bytes_received();
   }
+  [[nodiscard]] std::uint64_t controller_switches() const override {
+    if constexpr (std::is_same_v<Conn, core::EmptcpConnection>) {
+      return conn_->controller().switch_count();
+    }
+    return 0;
+  }
 
  private:
   World& w_;
   net::Addr server_;
-  std::unique_ptr<baseline::WifiFirstConnection> conn_;
+  std::unique_ptr<Conn> conn_;
 };
 
 stats::Series to_series(
@@ -414,39 +363,63 @@ std::unique_ptr<ClientConnHandle> make_client(World& w, Protocol p) {
 std::unique_ptr<ClientConnHandle> make_client(World& w, Protocol p,
                                               net::Addr server) {
   switch (p) {
-    case Protocol::kEmptcp:
-      return std::make_unique<EmptcpHandle>(w, server);
+    case Protocol::kEmptcp: {
+      core::EmptcpConfig cfg = w.scfg.emptcp;
+      cfg.mptcp = make_mptcp_cfg(w.scfg, /*coupled=*/true);
+      return std::make_unique<DualPathHandle<core::EmptcpConnection>>(
+          w, server,
+          std::make_unique<core::EmptcpConnection>(
+              w.sim, w.client, std::move(cfg), w.eib(), &w.predictor()));
+    }
     case Protocol::kWifiFirst:
-      return std::make_unique<WifiFirstHandle>(w, server);
+      return std::make_unique<DualPathHandle<baseline::WifiFirstConnection>>(
+          w, server,
+          std::make_unique<baseline::WifiFirstConnection>(
+              w.sim, w.client, make_mptcp_cfg(w.scfg, /*coupled=*/true)));
     default:
       return std::make_unique<MetaHandle>(w, p, server);
   }
 }
 
-RunMetrics collect_core(World& w, bool completed, double download_time_s,
-                        std::uint64_t bytes_received,
-                        std::uint64_t controller_switches) {
+RunMetrics collect_totals(const std::vector<World*>& worlds, bool completed,
+                          double download_time_s,
+                          std::uint64_t bytes_received) {
   RunMetrics m;
   m.completed = completed;
   m.download_time_s = download_time_s;
-  m.energy_j = w.tracker.total_j();
-  m.wifi_j = w.tracker.iface_j(w.wifi_if->type());
-  m.cell_j = w.tracker.iface_j(w.cell_if->type());
   m.bytes_received = bytes_received;
-  m.cellular_used = w.cell_if->rx_bytes() > 5000;
-  m.cellular_activations = w.cell_radio.activations();
-  m.controller_switches = controller_switches;
-  m.wifi_capacity_mbps = w.scfg.wifi.down_mbps;
-  m.cell_capacity_mbps = w.scfg.cell.down_mbps;
-  if (download_time_s > 0.0) {
-    m.mean_wifi_mbps = static_cast<double>(w.wifi_if->rx_bytes()) * 8.0 /
-                       1e6 / download_time_s;
-    m.mean_cell_mbps = static_cast<double>(w.cell_if->rx_bytes()) * 8.0 /
-                       1e6 / download_time_s;
+  m.wifi_capacity_mbps = worlds.front()->scfg.wifi.down_mbps;
+  m.cell_capacity_mbps = worlds.front()->scfg.cell.down_mbps;
+  std::uint64_t wifi_rx = 0;
+  std::uint64_t cell_rx = 0;
+  for (World* w : worlds) {
+    m.energy_j += w->tracker.total_j();
+    m.wifi_j += w->tracker.iface_j(w->wifi_if->type());
+    m.cell_j += w->tracker.iface_j(w->cell_if->type());
+    wifi_rx += w->wifi_if->rx_bytes();
+    cell_rx += w->cell_if->rx_bytes();
+    m.cellular_used = m.cellular_used || w->cell_if->rx_bytes() > 5000;
+    m.cellular_activations += static_cast<int>(w->cell_radio.activations());
+    m.profile.sched_slab_slots += w->sim.scheduler().slab_size();
+    m.profile.packet_pool_slots +=
+        w->sim.context<net::PacketPool>().allocated();
   }
+  if (download_time_s > 0.0) {
+    m.mean_wifi_mbps =
+        static_cast<double>(wifi_rx) * 8.0 / 1e6 / download_time_s;
+    m.mean_cell_mbps =
+        static_cast<double>(cell_rx) * 8.0 / 1e6 / download_time_s;
+  }
+  return m;
+}
+
+RunMetrics collect_core(World& w, bool completed, double download_time_s,
+                        std::uint64_t bytes_received,
+                        std::uint64_t controller_switches) {
+  RunMetrics m =
+      collect_totals({&w}, completed, download_time_s, bytes_received);
+  m.controller_switches = controller_switches;
   m.profile.events_executed = w.sim.scheduler().events_executed();
-  m.profile.sched_slab_slots = w.sim.scheduler().slab_size();
-  m.profile.packet_pool_slots = w.sim.context<net::PacketPool>().allocated();
   if (w.scfg.record_series) {
     m.energy_series = to_series(w.tracker.energy_series());
     m.wifi_rate_series = to_series(w.tracker.rate_series(w.wifi_if->type()));

@@ -114,7 +114,7 @@ struct World {
   std::optional<net::MobilityModel> mobility;
   /// Hybrid-fidelity coordinator; non-null iff scfg.fidelity == kHybrid.
   /// Declared after the links and tracker it references so it is destroyed
-  /// first (its destructor detaches from the hub and clears fluid rates).
+  /// first (its destructor detaches from the hooks and clears fluid rates).
   std::unique_ptr<FastPath> fast_path;
 
  private:
@@ -131,6 +131,13 @@ std::unique_ptr<ClientConnHandle> make_client(World& w, Protocol p);
 /// fleet, reached over the cross-shard backbone.
 std::unique_ptr<ClientConnHandle> make_client(World& w, Protocol p,
                                               net::Addr server);
+
+/// World-level totals summed over `worlds` (one world, or every cell of a
+/// sharded fleet): device energy, mean interface rates over
+/// download_time_s, LTE use, and slab and pool high-water marks.
+RunMetrics collect_totals(const std::vector<World*>& worlds, bool completed,
+                          double download_time_s,
+                          std::uint64_t bytes_received);
 
 /// Shared run collection: everything derivable from the world plus the
 /// caller-supplied completion state and byte count (multi-connection runs

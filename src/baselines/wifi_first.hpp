@@ -19,6 +19,8 @@ namespace emptcp::baseline {
 
 class WifiFirstConnection {
  public:
+  using Callbacks = mptcp::MptcpConnection::Callbacks;
+
   WifiFirstConnection(sim::Simulation& sim, net::Node& node,
                       mptcp::MptcpConnection::Config cfg);
 

@@ -19,7 +19,6 @@
 #include "runtime/telemetry.hpp"
 #include "stats/csv.hpp"
 #include "stats/digest.hpp"
-#include "stats/trace_export.hpp"
 #include "workload/sharded_fleet.hpp"
 
 namespace emptcp::campaign {
@@ -222,16 +221,6 @@ std::string CampaignRunner::run_cell(const CampaignCell& cell) {
     m = workload::run_fleet(cfg, cell.derived_seed);
   }
 
-  // Streamed: the trace is digested chunk by chunk as it is written, so
-  // no whole-trace string exists.
-  const std::string trace_file = cell.label + ".jsonl";
-  const std::string trace_path = out_dir_ + "/" + trace_file;
-  std::string trace_digest;
-  if (!stats::write_trace_jsonl(trace_path, m.run.trace_events,
-                                m.run.trace_metrics, trace_digest)) {
-    throw std::runtime_error("campaign: cannot write " + trace_path);
-  }
-
   analysis::RunManifest manifest;
   manifest.group = spec_.name;
   manifest.protocol = app::to_string(cell.protocol);
@@ -244,9 +233,6 @@ std::string CampaignRunner::run_cell(const CampaignCell& cell) {
   if (sharded) {
     manifest.workload += "/cells" + std::to_string(cfg.cell_count());
   }
-  manifest.trace_file = trace_file;
-  manifest.trace_events = m.run.trace_events.size();
-  manifest.trace_digest = trace_digest;
   manifest.params = analysis::describe_scenario(cfg.scenario);
   manifest.params.emplace_back("fleet.clients",
                                std::to_string(cell.fleet_size));
@@ -273,14 +259,10 @@ std::string CampaignRunner::run_cell(const CampaignCell& cell) {
   // JSON double.
   manifest.params.emplace_back("fleet.derived_seed",
                                quoted(std::to_string(cell.derived_seed)));
-  for (auto& kv : analysis::describe_build()) {
-    manifest.params.push_back(std::move(kv));
-  }
-  const std::string manifest_path =
-      out_dir_ + "/" + cell.label + ".manifest.json";
-  if (!stats::write_file(manifest_path,
-                         analysis::manifest_to_json(manifest))) {
-    throw std::runtime_error("campaign: cannot write " + manifest_path);
+  const std::string failed = analysis::write_run_artifacts(
+      out_dir_, cell.label, m.run.trace_events, m.run.trace_metrics, manifest);
+  if (!failed.empty()) {
+    throw std::runtime_error("campaign: cannot write " + failed);
   }
 
   // Perf sidecar: engine telemetry goes to EMPTCP_PERF_DIR, never into

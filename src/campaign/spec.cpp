@@ -1,6 +1,7 @@
 #include "campaign/spec.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -344,6 +345,36 @@ bool apply_key(CampaignSpec& spec, const std::string& key,
   return false;
 }
 
+/// Combinations no single key can reject: each would otherwise run
+/// unverified or into undefined behaviour.
+bool validate_workload(const workload::FleetConfig& w, std::string& err) {
+  const auto reject = [&err](const char* why) {
+    err = why;
+    return false;
+  };
+  if (w.scenario.fidelity == sim::Fidelity::kHybrid &&
+      w.sharding.clients_per_cell > 0) {
+    return reject(
+        "fidelity hybrid (scenario.fidelity or EMPTCP_FIDELITY) cannot run "
+        "a sharded fleet (sharding.clients_per_cell > 0): the sharded merge "
+        "keeps no fluid metrics and cross-cell links have no fast-path "
+        "hooks");
+  }
+  const bool open = w.mode == workload::FleetConfig::Mode::kOpen;
+  const bool trace = w.arrival.kind == workload::ArrivalProcess::Kind::kTrace;
+  if (open && trace && w.arrival.times_s.empty()) {
+    return reject("arrival.kind = trace needs arrival.times_s");
+  }
+  const double rate = w.arrival.rate_per_s;
+  if (open && !trace && !(rate > 0.0 && std::isfinite(rate))) {
+    return reject("arrival.rate_per_s must be finite and > 0");
+  }
+  if (w.flow_size.min_bytes > w.flow_size.max_bytes) {
+    return reject("size.min_bytes must not exceed size.max_bytes");
+  }
+  return true;
+}
+
 }  // namespace
 
 const char* protocol_slug(app::Protocol p) {
@@ -392,6 +423,7 @@ bool parse_campaign_spec(std::string_view text, CampaignSpec& out,
     return false;
   }
   if (spec.seeds.empty()) { err = "spec has no seeds"; return false; }
+  if (!validate_workload(spec.workload, err)) return false;
   // Stamped per cell by the runner; re-force in case a scenario key
   // toggled it.
   spec.workload.scenario.trace = true;

@@ -238,17 +238,8 @@ RunOutcome run_protocol(const FuzzScenario& sc, app::Protocol protocol,
              });
   }
 
-  const std::size_t budget = cfg.total_flows();
-  app::advance_until(
-      w,
-      [&] {
-        if (cfg.mode == workload::FleetConfig::Mode::kOpen) {
-          return fleet.arrivals_done() &&
-                 fleet.flows_completed() >= fleet.flows_started();
-        }
-        return budget != 0 && fleet.flows_completed() >= budget;
-      },
-      cfg.scenario.max_sim_time);
+  app::advance_until(w, [&] { return fleet.done(); },
+                     cfg.scenario.max_sim_time);
   workload::FleetMetrics m = fleet.finish();
   const app::RunMetrics& rm = m.run;
 
@@ -349,6 +340,20 @@ SeedResult run_seed(std::uint64_t seed, bool fidelity_diff) {
   r.violations = primary.violations;
   r.flight_tail = primary.flight_tail;
   r.digest = primary.digest;
+  // A re-run's checks, labelled violations, flight tail and digest.
+  auto fold = [&r](const RunOutcome& o, const char* label) {
+    r.checks += o.checks;
+    for (Violation v : o.violations) {
+      v.detail = label + v.detail;
+      r.violations.push_back(std::move(v));
+    }
+    if (r.flight_tail.empty()) r.flight_tail = o.flight_tail;
+    r.digest = combine_digest(r.digest, o.digest);
+  };
+  auto expect = [&r](bool ok, const char* invariant, std::string detail) {
+    ++r.checks;
+    if (!ok) r.violations.push_back({0.0, invariant, std::move(detail)});
+  };
 
   if (fidelity_diff) {
     // Hybrid re-run of the identical scenario: every oracle invariant must
@@ -360,18 +365,7 @@ SeedResult run_seed(std::uint64_t seed, bool fidelity_diff) {
     // the transient-demotion paths.
     RunOutcome hybrid =
         run_protocol(sc, sc.fleet.protocol, sim::Fidelity::kHybrid);
-    r.checks += hybrid.checks;
-    for (Violation v : hybrid.violations) {
-      v.detail = "[hybrid] " + v.detail;
-      r.violations.push_back(std::move(v));
-    }
-    if (r.flight_tail.empty()) r.flight_tail = hybrid.flight_tail;
-    r.digest = combine_digest(r.digest, hybrid.digest);
-
-    auto expect = [&r](bool ok, const char* invariant, std::string detail) {
-      ++r.checks;
-      if (!ok) r.violations.push_back({0.0, invariant, std::move(detail)});
-    };
+    fold(hybrid, "[hybrid] ");
     if (sc.differential) {
       expect(primary.flows_started == hybrid.flows_started,
              "fidelity.same_flow_count",
@@ -419,18 +413,7 @@ SeedResult run_seed(std::uint64_t seed, bool fidelity_diff) {
   if (!sc.differential) return r;
 
   RunOutcome base = run_protocol(sc, app::Protocol::kMptcp);
-  r.checks += base.checks;
-  for (Violation v : base.violations) {
-    v.detail = "[mptcp baseline] " + v.detail;
-    r.violations.push_back(std::move(v));
-  }
-  if (r.flight_tail.empty()) r.flight_tail = base.flight_tail;
-  r.digest = combine_digest(r.digest, base.digest);
-
-  auto expect = [&r](bool ok, const char* invariant, std::string detail) {
-    ++r.checks;
-    if (!ok) r.violations.push_back({0.0, invariant, std::move(detail)});
-  };
+  fold(base, "[mptcp baseline] ");
 
   // Same scheduled workload => both protocols must serve the same flows
   // and, where both completed, deliver byte-identical application streams.

@@ -2,7 +2,7 @@
 
 #include <string>
 
-#include "check/hub.hpp"
+#include "sim/hooks.hpp"
 #include "sim/simulation.hpp"
 
 namespace emptcp::check {
@@ -17,8 +17,8 @@ Oracle::~Oracle() { detach(); }
 void Oracle::attach(sim::Simulation& sim) {
   detach();
   sim_ = &sim;
-  Hub& h = hub(sim);
-  prev_hub_oracle_ = h.oracle;
+  sim::Hooks& h = sim::hooks(sim);
+  prev_hooks_oracle_ = h.oracle;
   h.oracle = this;
   prev_observer_ = sim.trace().set_observer(this);
   last_event_t_ = sim.now();
@@ -26,11 +26,11 @@ void Oracle::attach(sim::Simulation& sim) {
 
 void Oracle::detach() {
   if (sim_ == nullptr) return;
-  hub(*sim_).oracle = prev_hub_oracle_;
+  sim::hooks(*sim_).oracle = prev_hooks_oracle_;
   sim_->trace().set_observer(prev_observer_);
   sim_ = nullptr;
   prev_observer_ = nullptr;
-  prev_hub_oracle_ = nullptr;
+  prev_hooks_oracle_ = nullptr;
 }
 
 double Oracle::now_s() const {

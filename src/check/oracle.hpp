@@ -5,7 +5,7 @@
 //   * every trace event, via trace::EventObserver (cwnd bounds, TCP
 //     state-machine legality, mode-change legality, energy-sample sanity,
 //     per-sink time monotonicity, warnings-as-violations), and
-//   * direct hooks from protocol code through check::Hub (sequence-space
+//   * direct hooks from protocol code through sim::Hooks (sequence-space
 //     sanity on every new ACK, exactly-once delivery identity on every
 //     payload, DSS assignment contiguity/no-overlap, scheduler eligibility
 //     of the picked subflow, the RFC 6356 LIA aggressiveness bound).
@@ -55,7 +55,7 @@ class Oracle : public trace::EventObserver {
   Oracle(const Oracle&) = delete;
   Oracle& operator=(const Oracle&) = delete;
 
-  /// Installs this oracle as the simulation's hub oracle and trace
+  /// Installs this oracle as the simulation's hooks oracle and trace
   /// observer (saving whatever was there, restored on detach).
   void attach(sim::Simulation& sim);
   void detach();
@@ -63,7 +63,7 @@ class Oracle : public trace::EventObserver {
   // --- trace::EventObserver --------------------------------------------
   void on_trace_event(const trace::Event& e) override;
 
-  // --- direct hooks (called through check::Hub) -------------------------
+  // --- direct hooks (called through sim::Hooks) ------------------------
   struct TcpAckView {
     std::uint64_t snd_una = 0;
     std::uint64_t snd_nxt = 0;
@@ -126,7 +126,7 @@ class Oracle : public trace::EventObserver {
   Config cfg_;
   sim::Simulation* sim_ = nullptr;
   trace::EventObserver* prev_observer_ = nullptr;
-  Oracle* prev_hub_oracle_ = nullptr;
+  Oracle* prev_hooks_oracle_ = nullptr;
   sim::Time last_event_t_ = 0;
   /// Per-connection fresh-assignment frontier of the data-sequence space.
   std::map<const void*, std::uint64_t> dss_frontier_;

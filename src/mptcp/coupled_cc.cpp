@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
-#include "check/hub.hpp"
+#include "sim/hooks.hpp"
 #include "check/oracle.hpp"
 
 namespace emptcp::mptcp {
@@ -54,8 +54,8 @@ std::uint64_t LiaCoupledCc::ca_increase(std::uint64_t acked_bytes) {
   const double reno = acked * mss / own;
   const auto inc = static_cast<std::uint64_t>(std::min(coupled, reno));
   const std::uint64_t result = std::max<std::uint64_t>(inc, 1);
-  if (chk_ != nullptr) {
-    if (check::Oracle* oracle = chk_->oracle) {
+  if (hooks_ != nullptr) {
+    if (check::Oracle* oracle = hooks_->oracle) {
       oracle->on_lia_increase({acked_bytes, cfg_.mss, cwnd(),
                                state_.total_cwnd(), alpha, result});
     }

@@ -20,9 +20,9 @@
 #include "sim/time.hpp"
 #include "tcp/cc.hpp"
 
-namespace emptcp::check {
-struct Hub;
-}
+namespace emptcp::sim {
+struct Hooks;
+}  // namespace emptcp::sim
 
 namespace emptcp::mptcp {
 
@@ -55,15 +55,15 @@ class LiaCoupledCc final : public tcp::CongestionControl {
       : tcp::CongestionControl(cfg), state_(state) {}
 
   /// Lets the invariant oracle observe every coupled increase. The
-  /// meta-socket wires its simulation's hub in at creation.
-  void set_check_hub(check::Hub* hub) { chk_ = hub; }
+  /// meta-socket wires its simulation's hooks in at creation.
+  void set_hooks(sim::Hooks* hooks) { hooks_ = hooks; }
 
  protected:
   std::uint64_t ca_increase(std::uint64_t acked_bytes) override;
 
  private:
   LiaState& state_;
-  check::Hub* chk_ = nullptr;
+  sim::Hooks* hooks_ = nullptr;
 };
 
 }  // namespace emptcp::mptcp

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <atomic>
 
-#include "check/hub.hpp"
 #include "check/oracle.hpp"
-#include "mptcp/fastpath_hub.hpp"
+#include "mptcp/fastpath_listener.hpp"
 #include "trace/trace.hpp"
 
 namespace emptcp::mptcp {
@@ -34,15 +33,14 @@ MptcpConnection::MptcpConnection(sim::Simulation& sim, net::Node& node,
       scheduler_(std::make_unique<MinRttScheduler>()),
       ctr_reinjected_(
           &sim.trace().metrics().counter("mptcp.reinjected_chunks")),
-      chk_(&check::hub(sim)),
-      fp_(&fastpath_hub(sim)) {}
+      hooks_(&sim::hooks(sim)) {}
 
 MptcpConnection::~MptcpConnection() {
-  if (fp_->listener != nullptr) fp_->listener->on_conn_destroyed(*this);
+  if (hooks_->fast_path != nullptr) hooks_->fast_path->on_conn_destroyed(*this);
 }
 
 void MptcpConnection::notify_transient() {
-  if (fp_->listener != nullptr) fp_->listener->on_conn_transient(*this);
+  if (hooks_->fast_path != nullptr) hooks_->fast_path->on_conn_transient(*this);
 }
 
 void MptcpConnection::connect(net::Addr local, net::Addr remote,
@@ -127,7 +125,7 @@ Subflow& MptcpConnection::create_subflow(
   tcp::CongestionControl* coupled = nullptr;
   if (cfg_.coupled_cc) {
     auto cc = std::make_unique<LiaCoupledCc>(cfg_.subflow.cc, lia_);
-    cc->set_check_hub(chk_);
+    cc->set_hooks(hooks_);
     coupled = cc.get();
     sock->set_congestion_control(std::move(cc));
     lia_.add_member({static_cast<LiaCoupledCc*>(coupled),
@@ -224,7 +222,7 @@ std::optional<tcp::TcpSocket::Chunk> MptcpConnection::pull_chunk(
   }
 
   sf.outstanding().push_back(chunk);
-  if (check::Oracle* oracle = chk_->oracle) {
+  if (check::Oracle* oracle = hooks_->oracle) {
     bool other_regular = false;
     for (const Subflow* other : subflow_view_) {
       if (other != &sf && other->usable() && !other->backup()) {
@@ -296,7 +294,7 @@ void MptcpConnection::on_subflow_packet(Subflow& sf, const net::Packet& pkt) {
 void MptcpConnection::on_subflow_established_cb(Subflow& sf) {
   if (!established_reported_) {
     established_reported_ = true;
-    if (fp_->listener != nullptr) fp_->listener->on_conn_established(*this);
+    if (hooks_->fast_path != nullptr) hooks_->fast_path->on_conn_established(*this);
     if (cb_.on_established) cb_.on_established();
   } else {
     notify_transient();  // an additional subflow joined the set
@@ -420,7 +418,7 @@ void MptcpConnection::macro_advance_send(net::InterfaceType iface,
   if (bytes == 0) return;
   Subflow* sf = subflow_on(iface);
   if (sf == nullptr) return;
-  if (check::Oracle* oracle = chk_->oracle) {
+  if (check::Oracle* oracle = hooks_->oracle) {
     oracle->on_macro_advance(this, data_next_seq_, bytes);
   }
   sf->socket().macro_advance_sender(bytes, cwnd_cap);

@@ -33,13 +33,7 @@
 #include "tcp/buffers.hpp"
 #include "tcp/tcp_socket.hpp"
 
-namespace emptcp::check {
-struct Hub;
-}
-
 namespace emptcp::mptcp {
-
-struct FastPathHub;
 
 /// Operating modes (paper §2.1).
 enum class Mode {
@@ -206,10 +200,8 @@ class MptcpConnection {
   std::unique_ptr<SubflowScheduler> scheduler_;
   LiaState lia_;
   trace::Counter* ctr_reinjected_ = nullptr;  ///< reinjected data chunks
-  /// Invariant-oracle attachment point (see check/hub.hpp).
-  check::Hub* chk_ = nullptr;
-  /// Hybrid-fidelity fast-path attachment point (see fastpath_hub.hpp).
-  FastPathHub* fp_ = nullptr;
+  /// Oracle and fast-path attachment point (see sim/hooks.hpp).
+  sim::Hooks* hooks_ = nullptr;
   std::vector<std::unique_ptr<Subflow>> subflows_;
   /// Raw-pointer view of `subflows_`, maintained alongside it so the hot
   /// scheduling paths never materialise a fresh vector.

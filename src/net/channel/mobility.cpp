@@ -21,8 +21,9 @@ MobilityModel::MobilityModel(sim::Simulation& sim, WifiChannel& channel,
 
 void MobilityModel::start() { tick(); }
 
-std::pair<double, double> MobilityModel::position_at(double t_s) const {
-  const auto& r = cfg_.route;
+std::pair<double, double> MobilityModel::Config::position_at(
+    double t_s) const {
+  const auto& r = route;
   if (t_s <= r.front().t_s) return {r.front().x, r.front().y};
   if (t_s >= r.back().t_s) return {r.back().x, r.back().y};
   for (std::size_t i = 1; i < r.size(); ++i) {
@@ -35,21 +36,21 @@ std::pair<double, double> MobilityModel::position_at(double t_s) const {
   return {r.back().x, r.back().y};
 }
 
-double MobilityModel::distance_at(double t_s) const {
+double MobilityModel::Config::distance_at(double t_s) const {
   const auto [x, y] = position_at(t_s);
-  return std::hypot(x - cfg_.ap_x, y - cfg_.ap_y);
+  return std::hypot(x - ap_x, y - ap_y);
 }
 
-double MobilityModel::rate_at(double t_s) const {
+double MobilityModel::Config::rate_at(double t_s) const {
   const double d = distance_at(t_s);
-  if (d >= cfg_.usable_range_m) return cfg_.floor_mbps;
-  const double frac = d / cfg_.usable_range_m;
-  const double rate = cfg_.max_rate_mbps * (1.0 - frac * frac);
-  return std::max(rate, cfg_.floor_mbps);
+  if (d >= usable_range_m) return floor_mbps;
+  const double frac = d / usable_range_m;
+  const double rate = max_rate_mbps * (1.0 - frac * frac);
+  return std::max(rate, floor_mbps);
 }
 
 void MobilityModel::tick() {
-  channel_.set_capacity(rate_at(sim::to_seconds(sim_.now())));
+  channel_.set_capacity(cfg_.rate_at(sim::to_seconds(sim_.now())));
   sim_.in(cfg_.tick, [this] { tick(); });
 }
 

@@ -8,9 +8,13 @@
 // distance inside the usable range and floors at a small positive rate
 // outside it (still associated, nearly unusable — the paper's 25–40 s dip).
 //
-// The model drives a WifiChannel's nominal capacity on a fixed tick.
+// The model drives a WifiChannel's nominal capacity on a fixed tick. The
+// route geometry (position, distance, rate at time t) lives on the Config,
+// so code without a Simulation — the MDP baseline's bandwidth trace, the
+// Fig. 11 profile — evaluates the same function.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "net/channel/wifi_channel.hpp"
@@ -34,21 +38,19 @@ class MobilityModel {
     double max_rate_mbps = 18.0;   ///< rate when next to the AP
     double floor_mbps = 0.05;      ///< associated but out of usable range
     sim::Duration tick = sim::milliseconds(500);
+
+    /// Device position at time t (clamps to route ends).
+    [[nodiscard]] std::pair<double, double> position_at(double t_s) const;
+    /// Distance to the AP at time t.
+    [[nodiscard]] double distance_at(double t_s) const;
+    /// Achievable WiFi rate at time t given the distance fall-off.
+    [[nodiscard]] double rate_at(double t_s) const;
   };
 
   MobilityModel(sim::Simulation& sim, WifiChannel& channel, Config cfg);
 
   /// Begins walking the route and driving the channel capacity.
   void start();
-
-  /// Device position at time t (clamps to route ends).
-  [[nodiscard]] std::pair<double, double> position_at(double t_s) const;
-
-  /// Distance to the AP at time t.
-  [[nodiscard]] double distance_at(double t_s) const;
-
-  /// Achievable WiFi rate at time t given the distance fall-off.
-  [[nodiscard]] double rate_at(double t_s) const;
 
   /// The route used by the paper's Fig. 11 experiment: starts near the AP,
   /// walks out of usable range, loops back past the AP, and exits again.

@@ -1,6 +1,7 @@
 #include "net/node.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace emptcp::net {
 
@@ -17,7 +18,8 @@ NetworkInterface& Node::interface_for(Addr addr) {
   for (auto& ifc : interfaces_) {
     if (ifc->addr() == addr) return *ifc;
   }
-  throw std::logic_error(name_ + ": no interface with requested address");
+  throw std::logic_error("node has no interface with address " +
+                         std::to_string(addr));
 }
 
 NetworkInterface* Node::interface_of_type(InterfaceType t) {

@@ -9,7 +9,6 @@
 
 #include <functional>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -23,8 +22,7 @@ class Node {
  public:
   using PacketHandler = std::function<void(const Packet&)>;
 
-  Node(sim::Simulation& sim, std::string name)
-      : sim_(sim), name_(std::move(name)) {}
+  explicit Node(sim::Simulation& sim) : sim_(sim) {}
 
   Node(const Node&) = delete;
   Node& operator=(const Node&) = delete;
@@ -52,13 +50,11 @@ class Node {
   /// Called by interfaces on packet arrival.
   void receive(const Packet& pkt, NetworkInterface& in);
 
-  [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] sim::Simulation& simulation() { return sim_; }
   [[nodiscard]] std::uint64_t unmatched_packets() const { return unmatched_; }
 
  private:
   sim::Simulation& sim_;
-  std::string name_;
   std::vector<std::unique_ptr<NetworkInterface>> interfaces_;
   std::unordered_map<FlowKey, PacketHandler, FlowKeyHash> flows_;
   std::unordered_map<Port, PacketHandler> listeners_;

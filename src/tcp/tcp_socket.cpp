@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "check/hub.hpp"
 #include "check/mutation.hpp"
 #include "check/oracle.hpp"
 #include "trace/trace.hpp"
@@ -34,7 +33,7 @@ TcpSocket::TcpSocket(sim::Simulation& sim, net::Node& node, Config cfg)
       ctr_rtos_(&sim.trace().metrics().counter("tcp.rtos")),
       ctr_fast_recoveries_(
           &sim.trace().metrics().counter("tcp.fast_recoveries")),
-      chk_(&check::hub(sim)) {}
+      hooks_(&sim::hooks(sim)) {}
 
 void TcpSocket::transition(TcpState next) {
   EMPTCP_TRACE(sim_, tcp_state(sim_.now(), key_.local_port,
@@ -174,7 +173,7 @@ void TcpSocket::macro_advance_sender(std::uint64_t bytes,
   last_send_ = sim_.now();
   cc_->macro_advance(bytes, cwnd_cap);
   trace_cwnd();
-  if (check::Oracle* oracle = chk_->oracle) {
+  if (check::Oracle* oracle = hooks_->oracle) {
     oracle->on_tcp_ack({snd_una_, snd_nxt_, bytes_in_flight(), sacked_bytes_,
                         lost_bytes_, cc_->cwnd(), key_.local_port});
   }
@@ -183,7 +182,7 @@ void TcpSocket::macro_advance_sender(std::uint64_t bytes,
 void TcpSocket::macro_advance_receiver(std::uint64_t bytes) {
   const std::uint64_t newly = rcv_.insert(rcv_.cumulative(), bytes);
   app_bytes_received_ += newly;
-  if (check::Oracle* oracle = chk_->oracle) {
+  if (check::Oracle* oracle = hooks_->oracle) {
     oracle->on_tcp_rx(app_bytes_received_, rcv_.cumulative(),
                       key_.local_port);
   }
@@ -378,7 +377,7 @@ void TcpSocket::process_ack(const net::Packet& pkt) {
     }
     retransmit_holes();  // fill any remaining marked holes first
 
-    if (check::Oracle* oracle = chk_->oracle) {
+    if (check::Oracle* oracle = hooks_->oracle) {
       oracle->on_tcp_ack({snd_una_, snd_nxt_, bytes_in_flight(),
                           sacked_bytes_, lost_bytes_, cc_->cwnd(),
                           key_.local_port});
@@ -434,7 +433,7 @@ void TcpSocket::process_payload(const net::Packet& pkt) {
       app_bytes_received_ += newly;
       if (cb_.on_data) cb_.on_data(newly);
     }
-    if (check::Oracle* oracle = chk_->oracle) {
+    if (check::Oracle* oracle = hooks_->oracle) {
       oracle->on_tcp_rx(app_bytes_received_, rcv_.cumulative(),
                         key_.local_port);
     }

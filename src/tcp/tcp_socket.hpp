@@ -26,16 +26,13 @@
 
 #include "net/node.hpp"
 #include "net/packet.hpp"
+#include "sim/hooks.hpp"
 #include "sim/ring_deque.hpp"
 #include "sim/simulation.hpp"
 #include "sim/timer.hpp"
 #include "tcp/buffers.hpp"
 #include "tcp/cc.hpp"
 #include "tcp/rtt.hpp"
-
-namespace emptcp::check {
-struct Hub;
-}
 
 namespace emptcp::tcp {
 
@@ -298,9 +295,9 @@ class TcpSocket {
   trace::Counter* ctr_retransmits_ = nullptr;
   trace::Counter* ctr_rtos_ = nullptr;
   trace::Counter* ctr_fast_recoveries_ = nullptr;
-  /// Invariant-oracle attachment point (see check/hub.hpp); cached so each
+  /// Invariant-oracle attachment point (see sim/hooks.hpp); cached so each
   /// hook site is one load + branch when no oracle is attached.
-  check::Hub* chk_ = nullptr;
+  sim::Hooks* hooks_ = nullptr;
 
   // Send side. Sequence 0 is the SYN; application data starts at 1.
   std::uint64_t snd_una_ = 0;

@@ -1,15 +1,10 @@
 #include "workload/fleet.hpp"
 
-#include "app/bulk_download.hpp"
-#include "app/client_handle.hpp"
 #include "app/world.hpp"
 #include "trace/trace.hpp"
+#include "workload/flow_loop.hpp"
 
 namespace emptcp::workload {
-
-struct ClientFleet::Session {
-  std::size_t flows_done = 0;
-};
 
 ClientFleet::ClientFleet(FleetConfig cfg) : cfg_(std::move(cfg)) {}
 
@@ -17,135 +12,28 @@ ClientFleet::~ClientFleet() = default;
 
 app::World& ClientFleet::world() { return *world_; }
 
-bool ClientFleet::budget_left() const {
-  const std::size_t budget = cfg_.total_flows();
-  return budget == 0 || started_ < budget;
-}
+bool ClientFleet::done() const { return flows_->done(); }
 
 void ClientFleet::start(std::uint64_t seed) {
   world_ = std::make_unique<app::World>(cfg_.scenario, seed);
   app::World& w = *world_;
-
-  app::FileServer::Config scfg;
-  scfg.port = app::kPort;
-  scfg.request_bytes = cfg_.scenario.request_bytes;
-  scfg.close_after_response = true;
-  // Flows identify themselves via the app tag (flow id + 1): accept order
-  // only matches connect order on loss-free paths — a dropped SYN makes a
-  // later flow's connection arrive first and would permute the served
-  // sizes. Guard the range so a stray connection gets an empty response
-  // instead of UB.
-  scfg.resolver = [this](std::size_t conn, std::size_t req) -> std::uint64_t {
-    if (req != 0 || conn >= records_.size()) return 0;
-    return records_[conn].bytes;
-  };
-  scfg.mptcp = app::make_mptcp_cfg(cfg_.scenario, true);
-  server_ = std::make_unique<app::FileServer>(w.sim, w.server,
-                                              std::move(scfg));
-
-  w.tracker.start();
-  w.start_dynamics();
-
-  if (cfg_.mode == FleetConfig::Mode::kClosed) {
-    sessions_.assign(cfg_.clients, Session{});
-    for (std::size_t c = 0; c < cfg_.clients && budget_left(); ++c) {
-      launch_flow(static_cast<std::uint32_t>(c));
-    }
-  } else {
-    last_arrival_s_ = 0.0;
-    schedule_next_arrival();
-  }
-}
-
-void ClientFleet::schedule_next_arrival() {
-  if (!budget_left()) {
-    arrivals_done_ = true;
-    return;
-  }
-  app::World& w = *world_;
-  const double next = cfg_.arrival.next_start_s(w.sim.rng(), last_arrival_s_,
-                                                arrivals_issued_);
-  if (next < 0.0) {  // trace schedule exhausted
-    arrivals_done_ = true;
-    return;
-  }
-  last_arrival_s_ = next;
-  const std::size_t index = arrivals_issued_++;
-  const auto client =
-      static_cast<std::uint32_t>(cfg_.clients > 0 ? index % cfg_.clients : 0);
-  sim::Time at = sim::from_seconds(next);
-  if (at < w.sim.now()) at = w.sim.now();
-  w.sim.at(at, [this, client] {
-    launch_flow(client);
-    schedule_next_arrival();
-  });
-}
-
-void ClientFleet::launch_flow(std::uint32_t client_index) {
-  app::World& w = *world_;
-  const auto flow_id = static_cast<std::uint32_t>(records_.size());
-
-  FlowRecord rec;
-  rec.id = flow_id;
-  rec.client = client_index;
-  rec.bytes = cfg_.flow_size.sample(w.sim.rng(), flow_id);
-  rec.start_s = sim::to_seconds(w.sim.now());
-  records_.push_back(rec);
-  energy_at_start_.push_back(w.tracker.total_j());
-  rx_at_start_.push_back(w.wifi_if->rx_bytes() + w.cell_if->rx_bytes());
-  ++started_;
-  EMPTCP_TRACE(w.sim, flow_start(w.sim.now(), flow_id, rec.bytes));
-
-  auto handle = app::make_client(w, cfg_.protocol);
-  handle->set_app_tag(flow_id + 1);
-  app::ClientConnHandle* h = handle.get();
-  app::ClientConnHandle::Callbacks cb;
-  cb.on_established = [this, h] { h->send(cfg_.scenario.request_bytes); };
-  cb.on_eof = [this, h, flow_id] {
-    h->shutdown_write();
-    on_flow_done(flow_id);
-  };
-  h->set_callbacks(std::move(cb));
-  handles_.push_back(std::move(handle));
-  h->connect();
-}
-
-void ClientFleet::on_flow_done(std::uint32_t flow_id) {
-  app::World& w = *world_;
-  FlowRecord& rec = records_[flow_id];
-  rec.completed = true;
-  rec.end_s = sim::to_seconds(w.sim.now());
-  rec.delivered = handles_[flow_id]->bytes_received();
-  // Energy attribution under overlap: the device energy spent over the
-  // flow's lifetime, weighted by this flow's share of the bytes the device
-  // received in that span. Exact for non-overlapping flows; a fair split
-  // for concurrent ones.
-  const double de = w.tracker.total_j() - energy_at_start_[flow_id];
-  const std::uint64_t rx = w.wifi_if->rx_bytes() + w.cell_if->rx_bytes();
-  const std::uint64_t db = rx - rx_at_start_[flow_id];
-  rec.energy_j_est =
-      db > 0 ? de * (static_cast<double>(rec.bytes) /
-                     static_cast<double>(db))
-             : 0.0;
-  ++completed_;
-  EMPTCP_TRACE(w.sim, flow_complete(w.sim.now(), flow_id, rec.bytes,
-                                    rec.fct_s(), rec.energy_j_est));
-
-  if (cfg_.mode != FleetConfig::Mode::kClosed) return;
-  Session& s = sessions_[rec.client];
-  ++s.flows_done;
-  if (cfg_.flows_per_client != 0 && s.flows_done >= cfg_.flows_per_client) {
-    return;
-  }
-  const std::uint32_t client = rec.client;
-  const double think = cfg_.think.sample_s(w.sim.rng());
-  if (think <= 0.0) {
-    launch_flow(client);
-  } else {
-    w.sim.in(sim::from_seconds(think), [this, client] {
-      launch_flow(client);
-    });
-  }
+  // Sizes are drawn from the world's Rng at launch, so the server answers
+  // from the records. Flows identify themselves via the app tag (flow id +
+  // 1): accept order only matches connect order on loss-free paths — a
+  // dropped SYN makes a later flow's connection arrive first and would
+  // permute the served sizes. Guard the range so a stray connection gets
+  // an empty response instead of UB.
+  flows_ = std::make_unique<FlowLoop>(
+      cfg_, w, FlowLoop::Place{0, 1, cfg_.clients, 0}, cfg_.arrival,
+      [this, &w](std::uint64_t g) {
+        return cfg_.flow_size.sample(w.sim.rng(), g);
+      },
+      [this](std::size_t conn, std::size_t req) -> std::uint64_t {
+        const std::vector<FlowRecord>& records = flows_->records();
+        if (req != 0 || conn >= records.size()) return 0;
+        return records[conn].bytes;
+      });
+  flows_->start();
 }
 
 void ClientFleet::run_until(double t_s) {
@@ -154,57 +42,36 @@ void ClientFleet::run_until(double t_s) {
 
 FleetMetrics ClientFleet::run(std::uint64_t seed) {
   start(seed);
-  app::World& w = *world_;
-  const std::size_t budget = cfg_.total_flows();
-  app::advance_until(
-      w,
-      [&] {
-        if (cfg_.mode == FleetConfig::Mode::kOpen) {
-          return arrivals_done_ && completed_ >= started_;
-        }
-        return budget != 0 && completed_ >= budget;
-      },
-      cfg_.scenario.max_sim_time);
+  app::advance_until(*world_, [this] { return done(); },
+                     cfg_.scenario.max_sim_time);
   return finish();
 }
 
 FleetMetrics ClientFleet::finish() {
   app::World& w = *world_;
-  const std::size_t budget = cfg_.total_flows();
-  const bool all_done =
-      cfg_.mode == FleetConfig::Mode::kOpen
-          ? (arrivals_done_ && completed_ >= started_ && started_ > 0)
-          : (budget != 0 && completed_ >= budget);
+  // Unlike run()'s predicate, a fleet that never started a flow has not
+  // completed.
+  const bool all_done = done() && flows_->started() > 0;
   if (all_done) app::drain_tails(w, cfg_.scenario.max_drain);
   w.tracker.stop();
 
-  // Flows still in progress keep whatever arrived so far, so the records
-  // always satisfy delivered <= bytes with equality exactly on completion.
-  for (FlowRecord& r : records_) {
-    if (!r.completed) r.delivered = handles_[r.id]->bytes_received();
-  }
-
   FleetMetrics m;
-  m.flows_started = started_;
-  m.flows_completed = completed_;
-  std::uint64_t bytes = 0;
-  for (const FlowRecord& r : records_) {
-    if (!r.completed) continue;
-    bytes += r.bytes;
-    m.fct_hist.add(r.fct_s());
-    if (r.bytes > 0) m.epb_hist.add(r.energy_per_bit_uj());
-  }
+  m.flows = flows_->collect();
+  m.flows_started = flows_->started();
+  m.flows_completed = flows_->completed();
+  const std::uint64_t bytes = fold_flows(m);
   if (cfg_.scenario.trace) {
     // Fleet summary gauges, recorded before collect_core snapshots the
     // registry so serialized traces carry the per-flow headline numbers.
     trace::Metrics& reg = w.sim.trace().metrics();
     reg.gauge("fleet.clients").set(static_cast<double>(cfg_.clients));
-    reg.gauge("fleet.flows_started").set(static_cast<double>(started_));
-    reg.gauge("fleet.flows_completed").set(static_cast<double>(completed_));
+    reg.gauge("fleet.flows_started")
+        .set(static_cast<double>(m.flows_started));
+    reg.gauge("fleet.flows_completed")
+        .set(static_cast<double>(m.flows_completed));
   }
   m.run = app::collect_core(w, all_done, sim::to_seconds(w.sim.now()), bytes,
                             0);
-  m.flows = records_;
   return m;
 }
 

@@ -14,6 +14,8 @@
 // energy share). Records feed the trace sink as flow_start/flow_complete
 // events, so campaign rollups rebuild per-flow FCT and energy-per-bit
 // distributions (analysis::LogHistogram) from the serialized trace alone.
+// The flows themselves are driven by workload::FlowLoop (flow_loop.hpp),
+// the loop ShardedFleet runs per cell; ClientFleet owns the one-cell case.
 //
 // Determinism: all draws come from the World's seeded Rng in simulation
 // order, so fleet output is a pure function of (config, seed) — the same
@@ -33,7 +35,6 @@
 namespace emptcp::app {
 struct World;
 class FileServer;
-class ClientConnHandle;
 }  // namespace emptcp::app
 
 namespace emptcp::workload {
@@ -111,6 +112,8 @@ struct FleetMetrics {
   std::optional<analysis::PerfDoc> perf;
 };
 
+class FlowLoop;
+
 class ClientFleet {
  public:
   explicit ClientFleet(FleetConfig cfg);
@@ -119,8 +122,8 @@ class ClientFleet {
   ClientFleet(const ClientFleet&) = delete;
   ClientFleet& operator=(const ClientFleet&) = delete;
 
-  /// Runs the whole fleet to completion (flow budgets exhausted or
-  /// scenario.max_sim_time reached) and collects.
+  /// Runs the whole fleet to completion (done(), or scenario.max_sim_time
+  /// reached) and collects.
   FleetMetrics run(std::uint64_t seed);
 
   // Incremental driving, for harnesses that measure steady state
@@ -131,38 +134,15 @@ class ClientFleet {
   FleetMetrics finish();
 
   [[nodiscard]] app::World& world();
-  [[nodiscard]] std::uint64_t flows_started() const { return started_; }
-  [[nodiscard]] std::uint64_t flows_completed() const { return completed_; }
-  /// Open loop: no further arrivals are coming (closed loop: always false;
-  /// its done-condition is the flow budget). Exposed for external drivers
-  /// that replicate run()'s termination predicate, e.g. the fuzzer.
-  [[nodiscard]] bool arrivals_done() const { return arrivals_done_; }
+  /// run()'s stop predicate: no flow is in progress and none will start
+  /// (FlowLoop::done). Drivers that advance world() themselves, such as
+  /// the fuzzer, stop on it too.
+  [[nodiscard]] bool done() const;
 
  private:
-  struct Session;  ///< one closed-loop client's cycle state
-
-  void launch_flow(std::uint32_t client_index);
-  void on_flow_done(std::uint32_t flow_id);
-  void schedule_next_arrival();
-  [[nodiscard]] bool budget_left() const;
-
   FleetConfig cfg_;
   std::unique_ptr<app::World> world_;
-  std::unique_ptr<app::FileServer> server_;
-  std::vector<Session> sessions_;
-  std::vector<FlowRecord> records_;
-  // Flow handles stay alive until finish(): completion callbacks run on
-  // the connection's own stack, so destroying there would be use-after-free.
-  std::vector<std::unique_ptr<app::ClientConnHandle>> handles_;
-  // Energy/byte baselines captured at each flow's start, indexed by flow id
-  // (parallel to records_), for the overlap-weighted attribution.
-  std::vector<double> energy_at_start_;
-  std::vector<std::uint64_t> rx_at_start_;
-  std::uint64_t started_ = 0;
-  std::uint64_t completed_ = 0;
-  std::size_t arrivals_issued_ = 0;
-  double last_arrival_s_ = 0.0;
-  bool arrivals_done_ = false;  ///< open loop: no further arrivals coming
+  std::unique_ptr<FlowLoop> flows_;  ///< the one cell: every client
 };
 
 }  // namespace emptcp::workload

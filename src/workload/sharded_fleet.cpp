@@ -1,18 +1,16 @@
 #include "workload/sharded_fleet.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "analysis/manifest.hpp"
 #include "analysis/perf_report.hpp"
-#include "app/bulk_download.hpp"
-#include "app/client_handle.hpp"
 #include "app/world.hpp"
 #include "core/energy_info_base.hpp"
-#include "net/packet_pool.hpp"
 #include "net/shard_link.hpp"
-#include "trace/trace.hpp"
+#include "workload/flow_loop.hpp"
 
 namespace emptcp::workload {
 
@@ -29,30 +27,15 @@ std::uint64_t cell_seed(std::uint64_t seed, std::size_t cell) {
 }  // namespace
 
 struct ShardedFleet::Cell {
-  std::size_t index = 0;
-  std::size_t clients = 0;
-  std::uint32_t client_base = 0;
   std::size_t place = 0;
 
   std::unique_ptr<app::World> world;
-  std::unique_ptr<app::FileServer> server;
   // Backbone endpoints: `in_up` receives the previous cell's requests,
   // `in_down` the next cell's responses; `up`/`down` are this cell's
   // outbound halves (created in wire_backbone, absent when C == 1).
   std::unique_ptr<net::CrossShardLink::Port> in_up, in_down;
   std::unique_ptr<net::CrossShardLink> up, down;
-
-  std::vector<std::size_t> flows_done_per_client;
-  std::vector<FlowRecord> records;  ///< local flows; id is the global g
-  std::vector<std::unique_ptr<app::ClientConnHandle>> handles;
-  std::vector<double> energy_at_start;
-  std::vector<std::uint64_t> rx_at_start;
-  std::uint64_t launched = 0;  ///< per-cell launch counter k (g = i + k*C)
-  std::uint64_t completed = 0;
-  ArrivalProcess arrival;  ///< cell-share-scaled copy of cfg.arrival
-  std::size_t arrivals_issued = 0;
-  double last_arrival_s = 0.0;
-  bool arrivals_done = false;
+  std::unique_ptr<FlowLoop> flows;  ///< g = cell + k*C; ids are global
 };
 
 ShardedFleet::ShardedFleet(FleetConfig cfg) : cfg_(std::move(cfg)) {}
@@ -65,13 +48,13 @@ app::World& ShardedFleet::cell_world(std::size_t cell) {
 
 std::uint64_t ShardedFleet::flows_started() const {
   std::uint64_t n = 0;
-  for (const auto& c : cells_) n += c->launched;
+  for (const auto& c : cells_) n += c->flows->started();
   return n;
 }
 
 std::uint64_t ShardedFleet::flows_completed() const {
   std::uint64_t n = 0;
-  for (const auto& c : cells_) n += c->completed;
+  for (const auto& c : cells_) n += c->flows->completed();
   return n;
 }
 
@@ -85,31 +68,32 @@ std::uint64_t ShardedFleet::flow_bytes(std::uint64_t g) const {
 
 void ShardedFleet::build_cell(std::size_t index, std::size_t clients,
                               std::uint32_t client_base) {
-  auto cell = std::make_unique<Cell>();
-  Cell& c = *cell;
-  c.index = index;
-  c.clients = clients;
-  c.client_base = client_base;
+  Cell& c = *cells_.emplace_back(std::make_unique<Cell>());
   c.world = std::make_unique<app::World>(cfg_.scenario, cell_seed(seed_, index),
                                          app::cell_addressing(index));
   app::World& w = *c.world;
   if (eib_) w.share_eib(*eib_);
   c.place = engine_->add_place(w.sim, "cell" + std::to_string(index));
 
-  app::FileServer::Config scfg;
-  scfg.port = app::kPort;
-  scfg.request_bytes = cfg_.scenario.request_bytes;
-  scfg.close_after_response = true;
+  // Open loop: each cell runs the arrival process at its population share
+  // of the global rate. For Poisson, superposition of the cell streams
+  // reproduces the full-rate process in distribution, and any fixed
+  // decomposition is shard-count invariant (cells are a function of fleet
+  // size only). kTrace schedules are consumed round-robin instead.
+  ArrivalProcess arrival = cfg_.arrival;
+  if (cfg_.clients > 0) {
+    arrival.rate_per_s = cfg_.arrival.rate_per_s *
+                         static_cast<double>(clients) /
+                         static_cast<double>(cfg_.clients);
+  }
   // Connections carry app_tag = g + 1 and sizes are a pure function of g,
   // so this server answers local and cross-cell requests identically.
-  scfg.resolver = [this](std::size_t conn, std::size_t req) -> std::uint64_t {
-    if (req != 0) return 0;
-    return flow_bytes(conn);
-  };
-  scfg.mptcp = app::make_mptcp_cfg(cfg_.scenario, true);
-  c.server = std::make_unique<app::FileServer>(w.sim, w.server,
-                                               std::move(scfg));
-  cells_.push_back(std::move(cell));
+  c.flows = std::make_unique<FlowLoop>(
+      cfg_, w, FlowLoop::Place{index, cfg_.cell_count(), clients, client_base},
+      std::move(arrival), [this](std::uint64_t g) { return flow_bytes(g); },
+      [this](std::size_t conn, std::size_t req) -> std::uint64_t {
+        return req != 0 ? 0 : flow_bytes(conn);
+      });
 }
 
 void ShardedFleet::wire_backbone() {
@@ -183,6 +167,13 @@ void ShardedFleet::wire_backbone() {
 }
 
 void ShardedFleet::start(std::uint64_t seed) {
+  // The sharded merge keeps no fluid metrics and cross-cell links have no
+  // fast-path hooks, so hybrid fidelity would run here unverified.
+  if (cfg_.scenario.fidelity == sim::Fidelity::kHybrid) {
+    throw std::invalid_argument(
+        "sharded fleets run at packet fidelity only (hybrid fidelity with "
+        "sharding.clients_per_cell > 0 is not supported)");
+  }
   seed_ = seed;
   engine_ = std::make_unique<sim::ShardEngine>(cfg_.sharding.shards);
 
@@ -205,147 +196,14 @@ void ShardedFleet::start(std::uint64_t seed) {
     assigned += n;
   }
   wire_backbone();
-
-  for (auto& cp : cells_) {
-    Cell& c = *cp;
-    c.world->tracker.start();
-    c.world->start_dynamics();
-    if (cfg_.mode == FleetConfig::Mode::kClosed) {
-      c.flows_done_per_client.assign(c.clients, 0);
-      for (std::size_t k = 0; k < c.clients; ++k) {
-        launch_flow(c, static_cast<std::uint32_t>(k));
-      }
-    } else {
-      // Per-cell arrival process at the cell's population share of the
-      // global rate: for Poisson, superposition of the cell streams
-      // reproduces the full-rate process in distribution, and any fixed
-      // decomposition is shard-count invariant (cells are a function of
-      // fleet size only). kTrace schedules are instead consumed round-robin
-      // by global arrival index cell + n*C (see schedule_next_arrival).
-      c.arrival = cfg_.arrival;
-      if (cfg_.clients > 0) {
-        c.arrival.rate_per_s = cfg_.arrival.rate_per_s *
-                               static_cast<double>(c.clients) /
-                               static_cast<double>(cfg_.clients);
-      }
-      c.last_arrival_s = 0.0;
-      schedule_next_arrival(c);
-    }
-  }
-}
-
-void ShardedFleet::schedule_next_arrival(Cell& c) {
-  const std::size_t budget =
-      cfg_.flows_per_client == 0 ? 0 : c.clients * cfg_.flows_per_client;
-  if (budget != 0 && c.launched >= budget) {
-    c.arrivals_done = true;
-    return;
-  }
-  app::World& w = *c.world;
-  const std::size_t global_index =
-      c.index + c.arrivals_issued * cells_.size();
-  const double next =
-      c.arrival.next_start_s(w.sim.rng(), c.last_arrival_s, global_index);
-  if (next < 0.0) {  // trace schedule exhausted
-    c.arrivals_done = true;
-    return;
-  }
-  c.last_arrival_s = next;
-  const std::size_t index = c.arrivals_issued++;
-  const auto client =
-      static_cast<std::uint32_t>(c.clients > 0 ? index % c.clients : 0);
-  sim::Time at = sim::from_seconds(next);
-  if (at < w.sim.now()) at = w.sim.now();
-  w.sim.at(at, [this, &c, client] {
-    launch_flow(c, client);
-    schedule_next_arrival(c);
-  });
-}
-
-void ShardedFleet::launch_flow(Cell& c, std::uint32_t local_client) {
-  app::World& w = *c.world;
-  const std::size_t C = cells_.size();
-  const std::uint64_t k = c.launched++;
-  const std::uint64_t g = c.index + k * C;
-  const std::size_t local_index = c.records.size();
-
-  FlowRecord rec;
-  rec.id = static_cast<std::uint32_t>(g);
-  rec.client = c.client_base + local_client;
-  rec.bytes = flow_bytes(g);
-  rec.start_s = sim::to_seconds(w.sim.now());
-  c.records.push_back(rec);
-  c.energy_at_start.push_back(w.tracker.total_j());
-  c.rx_at_start.push_back(w.wifi_if->rx_bytes() + w.cell_if->rx_bytes());
-  EMPTCP_TRACE(w.sim, flow_start(w.sim.now(), rec.id, rec.bytes));
-
-  const bool cross = cfg_.sharding.cross_every != 0 && C > 1 &&
-                     (k + 1) % cfg_.sharding.cross_every == 0;
-  const net::Addr target =
-      cross ? app::cell_addressing((c.index + 1) % C).server : w.addrs.server;
-
-  auto handle = app::make_client(w, cfg_.protocol, target);
-  handle->set_app_tag(rec.id + 1);
-  app::ClientConnHandle* h = handle.get();
-  app::ClientConnHandle::Callbacks cb;
-  cb.on_established = [this, h] { h->send(cfg_.scenario.request_bytes); };
-  cb.on_eof = [this, h, &c, local_index] {
-    h->shutdown_write();
-    on_flow_done(c, local_index);
-  };
-  h->set_callbacks(std::move(cb));
-  c.handles.push_back(std::move(handle));
-  h->connect();
-}
-
-void ShardedFleet::on_flow_done(Cell& c, std::size_t local_index) {
-  app::World& w = *c.world;
-  FlowRecord& rec = c.records[local_index];
-  rec.completed = true;
-  rec.end_s = sim::to_seconds(w.sim.now());
-  rec.delivered = c.handles[local_index]->bytes_received();
-  // Same overlap-weighted attribution as ClientFleet, per cell: the cell's
-  // device energy over the flow's lifetime, weighted by the flow's share
-  // of the bytes the cell received in that span.
-  const double de = w.tracker.total_j() - c.energy_at_start[local_index];
-  const std::uint64_t rx = w.wifi_if->rx_bytes() + w.cell_if->rx_bytes();
-  const std::uint64_t db = rx - c.rx_at_start[local_index];
-  rec.energy_j_est =
-      db > 0
-          ? de * (static_cast<double>(rec.bytes) / static_cast<double>(db))
-          : 0.0;
-  ++c.completed;
-  EMPTCP_TRACE(w.sim, flow_complete(w.sim.now(), rec.id, rec.bytes,
-                                    rec.fct_s(), rec.energy_j_est));
-
-  if (cfg_.mode != FleetConfig::Mode::kClosed) return;
-  std::size_t& done = c.flows_done_per_client[rec.client - c.client_base];
-  ++done;
-  if (cfg_.flows_per_client != 0 && done >= cfg_.flows_per_client) return;
-  const std::uint32_t client = rec.client - c.client_base;
-  const double think = cfg_.think.sample_s(w.sim.rng());
-  if (think <= 0.0) {
-    launch_flow(c, client);
-  } else {
-    w.sim.in(sim::from_seconds(think),
-             [this, &c, client] { launch_flow(c, client); });
-  }
+  for (auto& c : cells_) c->flows->start();
 }
 
 bool ShardedFleet::all_flows_done() const {
-  if (cfg_.mode == FleetConfig::Mode::kOpen) {
-    std::uint64_t started = 0;
-    std::uint64_t completed = 0;
-    bool arrivals_done = true;
-    for (const auto& c : cells_) {
-      started += c->launched;
-      completed += c->completed;
-      arrivals_done = arrivals_done && c->arrivals_done;
-    }
-    return arrivals_done && completed >= started && started > 0;
+  for (const auto& c : cells_) {
+    if (!c->flows->done()) return false;
   }
-  const std::size_t budget = cfg_.total_flows();
-  return budget != 0 && flows_completed() >= budget;
+  return flows_started() > 0;
 }
 
 void ShardedFleet::run_until(double t_s) {
@@ -384,54 +242,21 @@ FleetMetrics ShardedFleet::merge(bool all_done) {
   // Flow records, globally ordered by flow id (deterministic: ids are a
   // pure function of (cell, launch index)).
   for (auto& c : cells_) {
-    for (std::size_t li = 0; li < c->records.size(); ++li) {
-      FlowRecord& r = c->records[li];
-      if (!r.completed) r.delivered = c->handles[li]->bytes_received();
-      m.flows.push_back(r);
-    }
+    const std::vector<FlowRecord>& records = c->flows->collect();
+    m.flows.insert(m.flows.end(), records.begin(), records.end());
   }
   std::sort(m.flows.begin(), m.flows.end(),
             [](const FlowRecord& a, const FlowRecord& b) {
               return a.id < b.id;
             });
+  const std::uint64_t bytes = fold_flows(m);
 
-  std::uint64_t bytes = 0;
-  for (const FlowRecord& r : m.flows) {
-    if (!r.completed) continue;
-    bytes += r.bytes;
-    m.fct_hist.add(r.fct_s());
-    if (r.bytes > 0) m.epb_hist.add(r.energy_per_bit_uj());
-  }
-
-  // World-level totals, summed across cells (collect_core semantics).
+  // World-level totals, summed across cells.
+  std::vector<app::World*> worlds;
+  for (const auto& c : cells_) worlds.push_back(c->world.get());
+  m.run = app::collect_totals(worlds, all_done,
+                              sim::to_seconds(engine_->now()), bytes);
   app::RunMetrics& run = m.run;
-  run.completed = all_done;
-  run.download_time_s = sim::to_seconds(engine_->now());
-  run.bytes_received = bytes;
-  run.wifi_capacity_mbps = cfg_.scenario.wifi.down_mbps;
-  run.cell_capacity_mbps = cfg_.scenario.cell.down_mbps;
-  std::uint64_t wifi_rx = 0;
-  std::uint64_t cell_rx = 0;
-  for (const auto& cp : cells_) {
-    app::World& w = *cp->world;
-    run.energy_j += w.tracker.total_j();
-    run.wifi_j += w.tracker.iface_j(w.wifi_if->type());
-    run.cell_j += w.tracker.iface_j(w.cell_if->type());
-    wifi_rx += w.wifi_if->rx_bytes();
-    cell_rx += w.cell_if->rx_bytes();
-    run.cellular_used = run.cellular_used || w.cell_if->rx_bytes() > 5000;
-    run.cellular_activations +=
-        static_cast<int>(w.cell_radio.activations());
-    run.profile.sched_slab_slots += w.sim.scheduler().slab_size();
-    run.profile.packet_pool_slots +=
-        w.sim.context<net::PacketPool>().allocated();
-  }
-  if (run.download_time_s > 0.0) {
-    run.mean_wifi_mbps =
-        static_cast<double>(wifi_rx) * 8.0 / 1e6 / run.download_time_s;
-    run.mean_cell_mbps =
-        static_cast<double>(cell_rx) * 8.0 / 1e6 / run.download_time_s;
-  }
   run.profile.events_executed = engine_->events_executed();
 
   // Telemetry sidecar (wall-clock; never merged into trace artifacts).

@@ -8,7 +8,10 @@
 // (cell i -> i+1 carries requests, cell i -> i-1 carries responses), and
 // every cross_every-th flow of cell i fetches from cell (i+1)%C's server
 // over it, so the partition is genuinely load-bearing, not embarrassingly
-// parallel.
+// parallel. Each cell's flows run on its own workload::FlowLoop, the loop
+// ClientFleet runs for its single world.
+//
+// Sharded fleets run at packet fidelity only: start() refuses hybrid.
 //
 // Determinism contract: every output — flow records, merged trace stream,
 // metric snapshot, per-cell oracle verdicts — is a pure function of
@@ -80,9 +83,6 @@ class ShardedFleet {
   void build_cell(std::size_t index, std::size_t clients,
                   std::uint32_t client_base);
   void wire_backbone();
-  void launch_flow(Cell& c, std::uint32_t local_client);
-  void on_flow_done(Cell& c, std::size_t local_index);
-  void schedule_next_arrival(Cell& c);
   [[nodiscard]] bool all_flows_done() const;
   FleetMetrics merge(bool all_done);
 

@@ -4,7 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
 #include <set>
+#include <string>
 
 #include "campaign/runner.hpp"
 
@@ -118,6 +121,88 @@ TEST(CampaignSpecTest, ParsesAndValidatesShardingKeys) {
       "sharding.backbone_mbps = -1\n",
       spec, err));
   EXPECT_NE(err.find("backbone_mbps"), std::string::npos);
+}
+
+constexpr const char* kGrid =
+    "name = v\nprotocols = emptcp\nfleet_sizes = 4\nseeds = 1\n";
+
+bool parses(const std::string& extra, std::string& err) {
+  CampaignSpec spec;
+  return parse_campaign_spec(kGrid + extra, spec, err);
+}
+
+/// EMPTCP_FIDELITY set to `value` (unset for nullptr) for one scope.
+class FidelityEnv {
+ public:
+  explicit FidelityEnv(const char* value) {
+    if (const char* prev = std::getenv("EMPTCP_FIDELITY")) saved_ = prev;
+    set(value);
+  }
+  ~FidelityEnv() { set(saved_ ? saved_->c_str() : nullptr); }
+
+ private:
+  static void set(const char* value) {
+    if (value != nullptr) {
+      ::setenv("EMPTCP_FIDELITY", value, 1);
+    } else {
+      ::unsetenv("EMPTCP_FIDELITY");
+    }
+  }
+  std::optional<std::string> saved_;
+};
+
+TEST(CampaignSpecTest, RejectsHybridFidelityOnShardedFleet) {
+  std::string err;
+  {
+    const FidelityEnv packet(nullptr);
+    ASSERT_TRUE(parses("sharding.clients_per_cell = 2\n", err)) << err;
+    ASSERT_TRUE(parses("scenario.fidelity = hybrid\n", err)) << err;
+    EXPECT_FALSE(parses(
+        "scenario.fidelity = hybrid\nsharding.clients_per_cell = 2\n", err));
+    EXPECT_NE(err.find("hybrid"), std::string::npos) << err;
+    EXPECT_NE(err.find("clients_per_cell"), std::string::npos) << err;
+  }
+  // The EMPTCP_FIDELITY default counts too; an explicit packet key wins.
+  const FidelityEnv hybrid("hybrid");
+  EXPECT_FALSE(parses("sharding.clients_per_cell = 2\n", err));
+  EXPECT_TRUE(parses(
+      "sharding.clients_per_cell = 2\nscenario.fidelity = packet\n", err))
+      << err;
+}
+
+TEST(CampaignSpecTest, RejectsOpenLoopRateThatIsNotPositiveAndFinite) {
+  std::string err;
+  ASSERT_TRUE(parses("mode = open\narrival.rate_per_s = 0.5\n", err)) << err;
+  for (const char* rate : {"0", "-2", "1e999"}) {
+    EXPECT_FALSE(parses(std::string("mode = open\narrival.rate_per_s = ") +
+                            rate + "\n",
+                        err))
+        << rate;
+    EXPECT_NE(err.find("arrival.rate_per_s"), std::string::npos) << err;
+  }
+  EXPECT_FALSE(parses(
+      "mode = open\narrival.kind = deterministic\narrival.rate_per_s = 0\n",
+      err));
+  // A closed loop never reads the arrival process.
+  EXPECT_TRUE(parses("arrival.rate_per_s = 0\n", err)) << err;
+}
+
+TEST(CampaignSpecTest, RejectsTraceArrivalsWithoutTimes) {
+  std::string err;
+  EXPECT_FALSE(parses("mode = open\narrival.kind = trace\n", err));
+  EXPECT_NE(err.find("arrival.times_s"), std::string::npos) << err;
+  EXPECT_TRUE(parses(
+      "mode = open\narrival.kind = trace\narrival.times_s = 0, 1.5\n", err))
+      << err;
+}
+
+TEST(CampaignSpecTest, RejectsMinSizeAboveMaxSize) {
+  std::string err;
+  EXPECT_FALSE(
+      parses("size.min_bytes = 4096\nsize.max_bytes = 1024\n", err));
+  EXPECT_NE(err.find("size.min_bytes"), std::string::npos) << err;
+  EXPECT_TRUE(parses("size.min_bytes = 1024\nsize.max_bytes = 1024\n", err))
+      << err;
 }
 
 TEST(CampaignSpecTest, SeedDerivationIsStableAndDecorrelated) {

@@ -1,11 +1,11 @@
-// Oracle unit tests: hub/observer wiring and the direct hook checks, fed
+// Oracle unit tests: hooks/observer wiring and the direct hook checks, fed
 // synthetic values so each invariant's pass and fail sides are exercised
 // without running traffic.
 #include "check/oracle.hpp"
 
 #include <gtest/gtest.h>
 
-#include "check/hub.hpp"
+#include "sim/hooks.hpp"
 #include "support/testnet.hpp"
 
 namespace emptcp::check {
@@ -15,22 +15,22 @@ using test::TestNet;
 
 TEST(OracleAttachTest, AttachInstallsAndDetachRestoresHubAndObserver) {
   TestNet net;
-  ASSERT_EQ(hub(net.sim).oracle, nullptr);
+  ASSERT_EQ(sim::hooks(net.sim).oracle, nullptr);
   {
     Oracle outer;
     outer.attach(net.sim);
-    EXPECT_EQ(hub(net.sim).oracle, &outer);
+    EXPECT_EQ(sim::hooks(net.sim).oracle, &outer);
     {
       // Nested attachment (the fuzzer's differential baseline does this
       // implicitly across runs): the inner oracle shadows, then restores.
       Oracle inner;
       inner.attach(net.sim);
-      EXPECT_EQ(hub(net.sim).oracle, &inner);
+      EXPECT_EQ(sim::hooks(net.sim).oracle, &inner);
       inner.detach();
-      EXPECT_EQ(hub(net.sim).oracle, &outer);
+      EXPECT_EQ(sim::hooks(net.sim).oracle, &outer);
     }
   }  // outer's destructor detaches
-  EXPECT_EQ(hub(net.sim).oracle, nullptr);
+  EXPECT_EQ(sim::hooks(net.sim).oracle, nullptr);
 }
 
 TEST(OracleTest, CleanAckViewPassesBrokenOnesFail) {

@@ -9,7 +9,7 @@
 #include <random>
 #include <vector>
 
-#include "check/hub.hpp"
+#include "sim/hooks.hpp"
 #include "check/invariants.hpp"
 #include "check/oracle.hpp"
 #include "mptcp/coupled_cc.hpp"
@@ -85,13 +85,13 @@ tcp::CongestionControl::Config cc_config(std::uint32_t mss,
 
 // End-to-end property: drive real LiaCoupledCc populations with randomized
 // shapes (member count, RTTs, windows, ack sizes) and let an oracle watch
-// every coupled increase through the same hub wiring the meta-socket uses.
+// every coupled increase through the same hook wiring the meta-socket uses.
 // The controller must never violate the bound, whatever the trajectory.
 TEST(LiaPropertyTest, RandomizedControllersNeverExceedRenoBound) {
   std::mt19937_64 rng(0xE2'07'C8'19);
-  Hub hub;
+  sim::Hooks hooks;
   Oracle oracle;
-  hub.oracle = &oracle;
+  hooks.oracle = &oracle;
 
   for (int trial = 0; trial < 50; ++trial) {
     mptcp::LiaState state;
@@ -102,7 +102,7 @@ TEST(LiaPropertyTest, RandomizedControllersNeverExceedRenoBound) {
       const auto iw = 2 + static_cast<std::uint32_t>(rng() % 20);
       auto cc = std::make_unique<mptcp::LiaCoupledCc>(cc_config(mss, iw),
                                                       state);
-      cc->set_check_hub(&hub);
+      cc->set_hooks(&hooks);
       const auto rtt_ms = 1 + static_cast<std::int64_t>(rng() % 300);
       state.add_member({cc.get(), [rtt_ms] {
                           return sim::milliseconds(rtt_ms);

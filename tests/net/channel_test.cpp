@@ -101,18 +101,16 @@ TEST_F(ChannelTest, OnOffHoldingTimesHaveConfiguredMean) {
 }
 
 TEST_F(ChannelTest, MobilityRateFallsWithDistanceAndFloors) {
-  WifiChannel ch(sim, {20.0, 0.0});
-  auto cfg = MobilityModel::umass_corridor_route();
-  MobilityModel mob(sim, ch, cfg);
+  const auto cfg = MobilityModel::umass_corridor_route();
 
   // Near the AP at t=0 (5 m of a 30 m range).
-  EXPECT_GT(mob.rate_at(0.0), 15.0);
+  EXPECT_GT(cfg.rate_at(0.0), 15.0);
   // Far end of the corridor (~45 s) is outside usable range.
-  EXPECT_DOUBLE_EQ(mob.rate_at(45.0), cfg.floor_mbps);
+  EXPECT_DOUBLE_EQ(cfg.rate_at(45.0), cfg.floor_mbps);
   // Paper: WiFi collapses in the 25-40 s window.
-  EXPECT_LT(mob.rate_at(35.0), 2.0);
+  EXPECT_LT(cfg.rate_at(35.0), 2.0);
   // Passing the AP again around 110 s restores throughput.
-  EXPECT_GT(mob.rate_at(110.0), 15.0);
+  EXPECT_GT(cfg.rate_at(110.0), 15.0);
 }
 
 TEST_F(ChannelTest, MobilityDrivesChannelCapacity) {
@@ -128,16 +126,14 @@ TEST_F(ChannelTest, MobilityDrivesChannelCapacity) {
 }
 
 TEST_F(ChannelTest, MobilityPositionInterpolatesLinearly) {
-  WifiChannel ch(sim, {20.0, 0.0});
   MobilityModel::Config cfg;
   cfg.route = {{0.0, 0.0, 0.0}, {10.0, 10.0, 0.0}};
-  MobilityModel mob(sim, ch, cfg);
-  const auto [x, y] = mob.position_at(5.0);
+  const auto [x, y] = cfg.position_at(5.0);
   EXPECT_DOUBLE_EQ(x, 5.0);
   EXPECT_DOUBLE_EQ(y, 0.0);
   // Clamps beyond the route.
-  EXPECT_DOUBLE_EQ(mob.position_at(99.0).first, 10.0);
-  EXPECT_DOUBLE_EQ(mob.position_at(-1.0).first, 0.0);
+  EXPECT_DOUBLE_EQ(cfg.position_at(99.0).first, 10.0);
+  EXPECT_DOUBLE_EQ(cfg.position_at(-1.0).first, 0.0);
 }
 
 TEST_F(ChannelTest, MobilityRejectsBadRoutes) {

@@ -11,8 +11,8 @@ namespace {
 class NodeTest : public ::testing::Test {
  protected:
   NodeTest()
-      : a(sim, "a"),
-        b(sim, "b"),
+      : a(sim),
+        b(sim),
         ab(sim, Link::Config{}),
         ba(sim, Link::Config{}) {
     ifa = &a.add_interface({InterfaceType::kWifi, 1, "a0"});

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
 
 #include "trace/sink.hpp"
 
@@ -13,7 +14,10 @@ namespace {
 
 class FlightRecorderDumper : public ::testing::EmptyTestEventListener {
  public:
-  void OnTestStart(const ::testing::TestInfo&) override { dumped_ = false; }
+  void OnTestStart(const ::testing::TestInfo& info) override {
+    dumped_ = false;
+    context_ = std::string(info.test_suite_name()) + "." + info.name();
+  }
 
   void OnTestPartResult(const ::testing::TestPartResult& result) override {
     if (!result.failed() || dumped_) return;
@@ -25,15 +29,11 @@ class FlightRecorderDumper : public ::testing::EmptyTestEventListener {
     // Under EMPTCP_FLIGHT_DIR also write a file dump whose name embeds
     // process/thread/sequence ids — sharded ctest runs (EMPTCP_JOBS > 1)
     // execute the same binary concurrently, and test-name-only paths
-    // would collide.
-    const ::testing::TestInfo* info =
-        ::testing::UnitTest::GetInstance()->current_test_info();
-    const std::string context =
-        info == nullptr ? "test"
-                        : std::string(info->test_suite_name()) + "." +
-                              info->name();
+    // would collide. (The test name comes from OnTestStart: gtest holds
+    // its own lock while reporting a result, so asking it for the current
+    // test from here would deadlock.)
     const std::string path = emptcp::trace::dump_flight_to_file(
-        sink->flight(), context, "test failure: " + context);
+        sink->flight(), context_, "test failure: " + context_);
     if (!path.empty()) {
       std::fprintf(stderr, "[  FLIGHT  ] written to %s\n", path.c_str());
     }
@@ -42,6 +42,7 @@ class FlightRecorderDumper : public ::testing::EmptyTestEventListener {
 
  private:
   bool dumped_ = false;
+  std::string context_ = "test";
 };
 
 }  // namespace

@@ -22,7 +22,7 @@ inline constexpr net::Port kPort = 80;
 struct TestNet {
   explicit TestNet(std::uint64_t seed = 1, double wifi_mbps = 10.0,
                    double cell_mbps = 10.0)
-      : sim(seed), client(sim, "client"), server(sim, "server") {
+      : sim(seed), client(sim), server(sim) {
     wifi_if = &client.add_interface({net::InterfaceType::kWifi, kWifiAddr,
                                      "c-wifi"});
     cell_if = &client.add_interface({net::InterfaceType::kLte, kCellAddr,

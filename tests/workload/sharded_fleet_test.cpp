@@ -175,6 +175,15 @@ TEST(ShardedFleetTest, ZeroBackboneDelayIsRejectedLoudly) {
   EXPECT_THROW(fleet.run(3), std::invalid_argument);
 }
 
+TEST(ShardedFleetTest, HybridFidelityIsRejectedLoudly) {
+  // The sharded merge keeps no fluid metrics: refuse rather than run
+  // unverified.
+  FleetConfig cfg = sharded_config(1);
+  cfg.scenario.fidelity = sim::Fidelity::kHybrid;
+  ShardedFleet fleet(cfg);
+  EXPECT_THROW(fleet.run(3), std::invalid_argument);
+}
+
 TEST(ShardedFleetTest, RunFleetDispatchesOnCellStructure) {
   // clients_per_cell == 0: the classic single-World ClientFleet path.
   FleetConfig plain = sharded_config(1);
