@@ -57,18 +57,28 @@ inline void maybe_dump_csv(
   }
 }
 
+/// Where maybe_dump_run put a run's artifact pair: `path` is empty when
+/// EMPTCP_TRACE_DIR is unset, else the trace written (`ok`) or the file
+/// that could not be written.
+struct DumpResult {
+  std::string path;
+  bool ok = true;
+};
+
 /// When EMPTCP_TRACE_DIR is set, writes one run's trace as JSONL *plus* a
 /// run manifest next to it (`<name>.manifest.json`): grouping key,
 /// protocol, seed, workload, scenario + build parameters and an FNV-1a
 /// digest of the trace bytes. The pair is the self-describing artifact
 /// `emptcp-report` consumes; analysis::write_run_artifacts writes it, as
-/// it does for campaign cells.
-inline void maybe_dump_run(const std::string& group,
-                           const app::ScenarioConfig& cfg, app::Protocol p,
-                           std::uint64_t seed, const std::string& workload,
-                           const app::RunMetrics& m) {
+/// it does for campaign cells. Prints nothing: pool workers call this, so
+/// run_specs reports the results afterwards, in a fixed order.
+inline DumpResult maybe_dump_run(const std::string& group,
+                                 const app::ScenarioConfig& cfg,
+                                 app::Protocol p, std::uint64_t seed,
+                                 const std::string& workload,
+                                 const app::RunMetrics& m) {
   const char* dir = std::getenv("EMPTCP_TRACE_DIR");
-  if (dir == nullptr) return;
+  if (dir == nullptr) return {};
   std::string file = group + "-" + app::to_string(p) + "-s" +
                      std::to_string(seed);
   for (char& c : file) {
@@ -80,12 +90,10 @@ inline void maybe_dump_run(const std::string& group,
   manifest.seed = seed;
   manifest.workload = workload;
   manifest.params = analysis::describe_scenario(cfg);
-  if (analysis::write_run_artifacts(dir, file, m.trace_events,
-                                    m.trace_metrics, manifest)
-          .empty()) {
-    std::printf("(wrote %s/%s + manifest)\n", dir,
-                manifest.trace_file.c_str());
-  }
+  const std::string failed = analysis::write_run_artifacts(
+      dir, file, m.trace_events, m.trace_metrics, manifest);
+  if (!failed.empty()) return {failed, false};
+  return {std::string(dir) + "/" + manifest.trace_file, true};
 }
 
 /// One cell of a figure's replication grid: which scenario to build, which
@@ -150,18 +158,38 @@ inline RunSpec timed_spec(std::string group, app::ScenarioConfig cfg,
 inline std::vector<std::vector<app::RunMetrics>> run_specs(
     const std::vector<RunSpec>& specs,
     const std::vector<std::uint64_t>& seeds) {
-  return runtime::run_replications(
+  struct Run {
+    app::RunMetrics m;
+    DumpResult dump;
+  };
+  auto runs = runtime::run_replications(
       specs, seeds, [](const RunSpec& rs, std::uint64_t pool_seed) {
         const std::uint64_t seed = rs.fixed_seed.value_or(pool_seed);
         app::ScenarioConfig cfg = rs.cfg_for ? rs.cfg_for(seed) : rs.cfg;
         cfg.trace = std::getenv("EMPTCP_TRACE_DIR") != nullptr;
         app::Scenario s(cfg);
-        app::RunMetrics m = rs.kind == RunSpec::Kind::kTimed
-                                ? s.run_timed(rs.protocol, rs.duration, seed)
-                                : s.run_download(rs.protocol, rs.bytes, seed);
-        maybe_dump_run(rs.group, cfg, rs.protocol, seed, rs.workload, m);
-        return m;
+        Run r;
+        r.m = rs.kind == RunSpec::Kind::kTimed
+                  ? s.run_timed(rs.protocol, rs.duration, seed)
+                  : s.run_download(rs.protocol, rs.bytes, seed);
+        r.dump = maybe_dump_run(rs.group, cfg, rs.protocol, seed,
+                                rs.workload, r.m);
+        return r;
       });
+  // Reported here, in [spec][seed] order, not from the workers: stdout is
+  // then the same for any EMPTCP_JOBS.
+  std::vector<std::vector<app::RunMetrics>> matrix(runs.size());
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    for (Run& r : runs[i]) {
+      if (!r.dump.ok) {
+        std::fprintf(stderr, "bench: cannot write %s\n", r.dump.path.c_str());
+      } else if (!r.dump.path.empty()) {
+        std::printf("(wrote %s + manifest)\n", r.dump.path.c_str());
+      }
+      matrix[i].push_back(std::move(r.m));
+    }
+  }
+  return matrix;
 }
 
 /// "mean ± SEM" cell, the paper's Figs. 8/10/13 presentation (Eq. 2).

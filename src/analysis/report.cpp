@@ -66,7 +66,8 @@ std::string render_report(std::vector<AnalyzedRun> runs) {
                  Table::num(r.energy_per_bit_uj(), 4),
                  pct(r.iface_share("wifi")), std::to_string(r.retransmits),
                  std::to_string(r.suspends), std::to_string(r.resumes),
-                 std::to_string(r.mode_changes), std::to_string(r.events)});
+                 std::to_string(r.mode_changes),
+                 std::to_string(r.sim_events)});
     }
     out += t.render();
   }

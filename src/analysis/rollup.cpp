@@ -144,6 +144,16 @@ RunRollup RollupBuilder::finish() const {
   r.rtos = count("tcp.rtos");
   r.fast_recoveries = count("tcp.fast_recoveries");
   r.reinjections = count("mptcp.reinjected_chunks");
+  r.sim_events = count("sim.events_executed");
+  r.sched_picks += count("trace.elided.sched_pick");
+  constexpr std::string_view kElidedBytes = "trace.elided.sched_pick.bytes.";
+  for (const auto& [k, v] : metrics_) {
+    if (std::string_view(k).starts_with(kElidedBytes)) {
+      slot_for(r.sched_bytes_by_iface,
+               std::string_view(k).substr(kElidedBytes.size())) +=
+          static_cast<std::uint64_t>(v);
+    }
+  }
   std::sort(r.sched_bytes_by_iface.begin(), r.sched_bytes_by_iface.end());
   return r;
 }

@@ -47,7 +47,9 @@ struct RunRollup {
   /// a large gap means the trace is stale or truncated.
   double integrated_energy_j = 0.0;
 
-  // Scheduler / subflow activity.
+  // Scheduler / subflow activity. Summed over sched_pick lines and, for a
+  // decisions-level trace, the trace.elided.sched_pick* counts that stand
+  // in for them; at either level one of the two sources is zero.
   std::uint64_t sched_picks = 0;
   std::vector<std::pair<std::string, std::uint64_t>> sched_bytes_by_iface;
   std::uint64_t suspends = 0;       ///< MP_PRIO backup=true transitions
@@ -55,7 +57,10 @@ struct RunRollup {
   std::uint64_t mode_changes = 0;   ///< eMPTCP path-usage decisions
   std::uint64_t radio_transitions = 0;
   std::uint64_t warnings = 0;
-  std::uint64_t events = 0;         ///< total trace events
+  /// Retained trace lines (metric lines excluded): the one field that
+  /// depends on the trace level.
+  std::uint64_t events = 0;
+  std::uint64_t sim_events = 0;     ///< sim.events_executed gauge
 
   // TCP loss-recovery counters (from the metric snapshot).
   std::uint64_t retransmits = 0;

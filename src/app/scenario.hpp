@@ -89,6 +89,10 @@ struct ScenarioConfig {
   /// Enable the structured trace sink for the run; the recorded events and
   /// metric snapshot come back in RunMetrics::trace_events/trace_metrics.
   bool trace = false;
+  /// What a traced run keeps (trace::Level): kFull, every kind, for the
+  /// benches, goldens and the fuzzer's digests; kDecisions, without the
+  /// per-ACK kinds (counted instead), for campaign cells.
+  trace::Level trace_level = trace::Level::kFull;
 };
 
 /// Simulator-internals snapshot taken at the end of a run: how much work

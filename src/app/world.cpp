@@ -56,7 +56,10 @@ World::World(const ScenarioConfig& cfg, std::uint64_t seed, Addressing addr)
                        cfg.record_series, 1}) {
   // Enable tracing before any instrumented object exists so construction
   // -time events (handshakes scheduled at t=0) are captured too.
-  if (cfg.trace) sim.trace().enable();
+  if (cfg.trace) {
+    sim.trace().set_level(cfg.trace_level);
+    sim.trace().enable();
+  }
   wifi_if = &client.add_interface(
       {net::InterfaceType::kWifi, addrs.wifi, "client-wifi"});
   // The cellular interface is typed kLte regardless of cell_tech: the

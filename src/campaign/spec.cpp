@@ -406,9 +406,11 @@ bool parse_campaign_spec(std::string_view text, CampaignSpec& out,
   }
 
   CampaignSpec spec;
-  // Campaign runs always trace (the artifacts are the output) and default
-  // to lean runs: no in-memory series.
+  // Campaign runs always trace (the artifacts are the output) at the
+  // decisions level (no figure reads per-ACK records; their counts stay
+  // in the snapshot) and default to lean runs: no in-memory series.
   spec.workload.scenario.trace = true;
+  spec.workload.scenario.trace_level = trace::Level::kDecisions;
   spec.workload.scenario.record_series = false;
   // EMPTCP_FIDELITY selects the default fidelity so one committed spec can
   // be driven at both fidelities (the hybrid differential gate does this);
@@ -427,6 +429,7 @@ bool parse_campaign_spec(std::string_view text, CampaignSpec& out,
   // Stamped per cell by the runner; re-force in case a scenario key
   // toggled it.
   spec.workload.scenario.trace = true;
+  spec.workload.scenario.trace_level = trace::Level::kDecisions;
   out = std::move(spec);
   return true;
 }

@@ -39,8 +39,9 @@ struct CampaignSpec {
   /// Workload template: scenario + mode + distributions + sharding
   /// (`sharding.clients_per_cell` > 0 runs each cell's fleet on the
   /// conservative shard engine; `sharding.shards` picks the worker count
-  /// without changing a single output byte). The runner overrides
-  /// `protocol` and `clients` per cell and forces trace on.
+  /// without changing a single output byte). The parser forces trace on
+  /// at trace::Level::kDecisions; the runner overrides `protocol` and
+  /// `clients` per cell.
   workload::FleetConfig workload;
 
   [[nodiscard]] std::size_t cell_count() const {

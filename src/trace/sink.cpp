@@ -130,6 +130,32 @@ const char* to_string(Kind k) {
   return "?";
 }
 
+void TraceSink::set_level(Level level) {
+  keep_ = level == Level::kFull ? ~std::uint32_t{0} : ~kPerAckKinds;
+  for (unsigned k = 0; k < elided_.size(); ++k) {
+    if ((keep_ & (std::uint32_t{1} << k)) == 0) {
+      elided_[k] = &metrics_.counter(std::string("trace.elided.") +
+                                     to_string(static_cast<Kind>(k)));
+    }
+  }
+}
+
+void TraceSink::elide(const Event& e) {
+  elided_[static_cast<unsigned>(e.kind)]->add();
+  if (e.kind != Kind::kSchedPick) return;
+  // sched_pick: label = interface name, i1 = chunk length.
+  Counter* bytes = nullptr;
+  for (const auto& [iface, counter] : elided_bytes_) {
+    if (iface == e.label) bytes = counter;
+  }
+  if (bytes == nullptr) {
+    bytes = &metrics_.counter(std::string("trace.elided.sched_pick.bytes.") +
+                              e.label);
+    elided_bytes_.emplace_back(e.label, bytes);
+  }
+  bytes->add(static_cast<std::uint64_t>(e.i1));
+}
+
 Counter& Metrics::counter(std::string_view name) {
   for (Counter& c : counters_) {
     if (c.name_ == name) return c;

@@ -17,6 +17,11 @@
 // last-value gauges. Registration (find-or-create) allocates and belongs
 // in constructors; handles are stable pointers, so hot-path increments are
 // a single add through a cached pointer, enabled or not.
+//
+// Retention has two levels (DESIGN.md §7). kFull keeps every event;
+// kDecisions keeps every kind but the per-ACK ones (cwnd, srtt,
+// sched_pick) and counts those into trace.elided.* counters instead. The
+// flight recorder and the observer see every event at either level.
 #pragma once
 
 #include <array>
@@ -25,6 +30,7 @@
 #include <deque>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "trace/event.hpp"
@@ -131,8 +137,32 @@ class EventObserver {
   virtual void on_trace_event(const Event& e) = 0;
 };
 
+/// How much of the event stream a sink retains.
+enum class Level : std::uint8_t {
+  kFull,       ///< every kind
+  kDecisions,  ///< all but kPerAckKinds, which are counted instead
+};
+
+/// Bit of `k` in a per-kind mask.
+constexpr std::uint32_t kind_bit(Kind k) {
+  return std::uint32_t{1} << static_cast<unsigned>(k);
+}
+static_assert(static_cast<unsigned>(Kind::kWarning) < 32,
+              "per-kind masks are 32 bits wide");
+
+/// The per-ACK kinds: one record per ACK or per scheduled chunk, read by
+/// no figure. kDecisions counts them instead of keeping them.
+inline constexpr std::uint32_t kPerAckKinds =
+    kind_bit(Kind::kCwnd) | kind_bit(Kind::kSrtt) |
+    kind_bit(Kind::kSchedPick);
+
 class TraceSink {
  public:
+  TraceSink() = default;
+  // At kDecisions the sink points into its own registry (elided_).
+  TraceSink(const TraceSink&) = delete;
+  TraceSink& operator=(const TraceSink&) = delete;
+
   /// The one hot-path query; instrumentation macros branch on it. True when
   /// anything wants the record: full event retention (enabled), the
   /// always-on flight recorder, or an attached observer.
@@ -144,6 +174,13 @@ class TraceSink {
     enabled_ = on;
     recompute_recording();
   }
+
+  /// Retention level of the event stream (default kFull). Set it before
+  /// the first event. kDecisions registers `trace.elided.<kind>` for the
+  /// three per-ACK kinds, and `trace.elided.sched_pick.bytes.<iface>` as
+  /// each interface first shows up, and counts the elided events into
+  /// them; kFull registers nothing, so its snapshot is unchanged.
+  void set_level(Level level);
 
   /// The bounded flight-recorder ring; on by default. Turning it off (with
   /// retention also off and no observer) reduces every instrumentation
@@ -240,10 +277,19 @@ class TraceSink {
 
  private:
   void push(const Event& e) {
-    if (enabled_) events_.push_back(e);
+    if (enabled_) {
+      if ((keep_ & kind_bit(e.kind)) != 0) {
+        events_.push_back(e);
+      } else {
+        elide(e);
+      }
+    }
     if (flight_on_) flight_.record(e);
     if (observer_ != nullptr) observer_->on_trace_event(e);
   }
+
+  /// Counts an event the level does not keep.
+  void elide(const Event& e);
 
   void recompute_recording() {
     recording_ = enabled_ || flight_on_ || observer_ != nullptr;
@@ -252,8 +298,14 @@ class TraceSink {
   bool enabled_ = false;
   bool flight_on_ = true;
   bool recording_ = true;  ///< any consumer active, cached for the gate
+  std::uint32_t keep_ = ~std::uint32_t{0};  ///< kind_bit()s retained
   EventObserver* observer_ = nullptr;
   std::vector<Event> events_;
+  /// kDecisions only: per-kind counts of elided events, and the elided
+  /// sched_pick bytes per interface label (static storage, so keyed by
+  /// pointer).
+  std::array<Counter*, 32> elided_{};
+  std::vector<std::pair<const char*, Counter*>> elided_bytes_;
   FlightRecorder flight_;
   Metrics metrics_;
 };

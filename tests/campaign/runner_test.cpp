@@ -41,11 +41,14 @@ CampaignSpec tiny_spec() {
 CampaignSpec sharded_spec(std::size_t shards) {
   CampaignSpec spec;
   std::string err;
+  // Fidelity pinned: a sharded spec is rejected at hybrid, and the
+  // default follows EMPTCP_FIDELITY.
   const bool ok = parse_campaign_spec(
       "name = sh\n"
       "protocols = emptcp\n"
       "fleet_sizes = 8\n"
       "seeds = 1\n"
+      "scenario.fidelity = packet\n"
       "flows_per_client = 1\n"
       "size.kind = fixed\n"
       "size.mean_bytes = 50000\n"

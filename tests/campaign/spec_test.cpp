@@ -89,11 +89,14 @@ TEST(CampaignSpecTest, RejectsUnknownAndInvalid) {
 }
 
 TEST(CampaignSpecTest, ParsesAndValidatesShardingKeys) {
+  // Fidelity pinned: a sharded spec is rejected at hybrid, and the
+  // default follows EMPTCP_FIDELITY.
   const char* text =
       "name = sh\n"
       "protocols = emptcp\n"
       "fleet_sizes = 8\n"
       "seeds = 1\n"
+      "scenario.fidelity = packet\n"
       "sharding.clients_per_cell = 2\n"
       "sharding.shards = 4\n"
       "sharding.cross_every = 2\n"

@@ -1,9 +1,12 @@
 # Tier-1 campaign smoke: run the committed smoke spec end to end (tiny
 # 2-protocol x 2-seed grid, seconds of wall clock), then re-run it and
 # require a full resume — no cell recomputed, byte-identical report.
-# Then tamper with one trace: a changed digit must surface as a digest
-# mismatch, a broken final line must fail the report naming file and
-# line, and a re-run must recompute exactly that cell.
+# The traces are decision-level: no cwnd, srtt or sched_pick line, and
+# trace.elided.* count lines in their place. Then tamper with one trace:
+# a changed digit must surface as a digest mismatch, a broken final line
+# must fail the report naming file and line, and a re-run must recompute
+# exactly that cell. Last, a spec with an unknown key must be refused
+# with one line of reason and exit 2, without the usage text.
 # Invoked by ctest with:
 #   -DCAMPAIGN_TOOL=<path to emptcp-campaign>
 #   -DREPORT_TOOL=<path to emptcp-report>
@@ -38,6 +41,24 @@ if(NOT first_report MATCHES "== flows ")
   message(FATAL_ERROR "campaign_smoke_gate: report lacks the per-flow "
                       "distribution section:\n${first_report}")
 endif()
+
+# Campaign cells trace at the decisions level: the per-ACK kinds are
+# counted into trace.elided.* metrics, never written as lines.
+file(GLOB traces ${OUT_DIR}/*.jsonl)
+foreach(trace ${traces})
+  file(STRINGS ${trace} per_ack
+       REGEX "\"kind\":\"(cwnd|srtt|sched_pick)\"")
+  if(per_ack)
+    list(GET per_ack 0 first)
+    message(FATAL_ERROR "campaign_smoke_gate: per-ACK line in ${trace}: "
+                        "${first}")
+  endif()
+  file(STRINGS ${trace} elided REGEX "\"metric\":\"trace\\.elided\\.")
+  if(NOT elided)
+    message(FATAL_ERROR "campaign_smoke_gate: no trace.elided.* count in "
+                        "${trace}")
+  endif()
+endforeach()
 
 # Second invocation: everything resumes from the ledger, and the rendered
 # report is byte-identical (same artifacts -> same report).
@@ -137,5 +158,28 @@ if(NOT first_report STREQUAL repaired_report)
                       "differs from the original")
 endif()
 
+# A spec the parser refuses: exit 2, the reason on one line, no usage.
+set(bad_spec ${OUT_DIR}-bad.spec)
+file(WRITE ${bad_spec} "name = bad\nprotocols = emptcp\nfleet_sizes = 1\n"
+                       "seeds = 1\nno_such_key = 1\n")
+execute_process(
+  COMMAND ${CAMPAIGN_TOOL} --out ${OUT_DIR}-bad ${bad_spec}
+  RESULT_VARIABLE rc
+  OUTPUT_VARIABLE bad_out
+  ERROR_VARIABLE bad_log)
+file(REMOVE ${bad_spec})
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "campaign_smoke_gate: a spec with an unknown key "
+                      "exited ${rc}, expected 2: ${bad_log}")
+endif()
+if(NOT bad_log MATCHES "^emptcp-campaign: [^\n]*no_such_key[^\n]*\n$")
+  message(FATAL_ERROR "campaign_smoke_gate: an unknown spec key should "
+                      "print one line naming it, got:\n${bad_log}")
+endif()
+if(bad_log MATCHES "usage:")
+  message(FATAL_ERROR "campaign_smoke_gate: a spec error printed the "
+                      "usage text:\n${bad_log}")
+endif()
+
 message(STATUS "campaign_smoke_gate: run + resume + tamper + repair + "
-               "report all consistent")
+               "report + spec error all consistent")

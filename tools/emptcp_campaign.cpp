@@ -6,7 +6,7 @@
 // runs the protocol × fleet-size × seed grid on the replication thread
 // pool, and writes one `<label>.jsonl` + `<label>.manifest.json` artifact
 // pair per cell into the output directory — exactly the format
-// emptcp-report consumes. After the grid completes, the paper-style report
+// emptcp-report consumes, with the trace at the decisions level. After the grid completes, the paper-style report
 // over every cell is rendered to stdout (suppress with --no-report).
 //
 // Campaigns are resumable: a `campaign.ledger` in the output directory
@@ -18,7 +18,6 @@
 #include <cstdlib>
 #include <exception>
 #include <filesystem>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -39,10 +38,12 @@ constexpr const char kUsage[] =
     "\n"
     "Runs the protocol x fleet-size x seed grid described by SPEC (JSON\n"
     "or key=value lines) and writes per-cell trace + manifest artifacts\n"
-    "into DIR (default: campaign-out). Completed cells are recorded in\n"
-    "DIR/campaign.ledger; re-running the same spec resumes, re-running\n"
-    "only missing or corrupt cells. Unless --no-report is given, the\n"
-    "emptcp-report rendering over all cells is printed to stdout.\n"
+    "into DIR (default: campaign-out). Traces are decision-level: the\n"
+    "per-ACK cwnd/srtt/sched_pick records are counted, not written.\n"
+    "Completed cells are recorded in DIR/campaign.ledger; re-running the\n"
+    "same spec resumes, re-running only missing or corrupt cells. Unless\n"
+    "--no-report is given, the emptcp-report rendering over all cells is\n"
+    "printed to stdout.\n"
     "\n"
     "--shards N overrides the spec's sharding.shards worker count for\n"
     "sharded fleets (sharding.clients_per_cell > 0); 0 derives it from\n"
@@ -59,10 +60,15 @@ constexpr const char kUsage[] =
     "files are written there — never into DIR, whose contents stay a pure\n"
     "function of (spec, seeds). Render them with `emptcp-report perf`.\n";
 
+/// A spec that cannot run, or an IO failure: one line, exit 2.
+int fail(const std::string& reason) {
+  std::fprintf(stderr, "emptcp-campaign: %s\n", reason.c_str());
+  return 2;
+}
+
+/// Command-line misuse: the reason, then the usage text, exit 2.
 int usage_error(const std::string& complaint) {
-  if (!complaint.empty()) {
-    std::fprintf(stderr, "emptcp-campaign: %s\n", complaint.c_str());
-  }
+  if (!complaint.empty()) fail(complaint);
   std::fputs(kUsage, stderr);
   return 2;
 }
@@ -132,7 +138,7 @@ int main(int argc, char** argv) {
   campaign::CampaignSpec spec;
   std::string err;
   if (!campaign::load_campaign_spec(spec_path, spec, err)) {
-    return usage_error(err);  // err already names the spec path
+    return fail(err);  // err already names the spec path
   }
   if (shards_given) {
     if (spec.workload.sharding.clients_per_cell == 0) {
@@ -164,9 +170,8 @@ int main(int argc, char** argv) {
     std::error_code ec;
     std::filesystem::create_directories(perf_dir, ec);
     if (ec) {
-      std::fprintf(stderr, "emptcp-campaign: cannot create %s: %s\n",
-                   perf_dir, ec.message().c_str());
-      return 2;
+      return fail(std::string("cannot create ") + perf_dir + ": " +
+                  ec.message());
     }
     runtime::Telemetry::instance().enable(true);
     std::fprintf(stderr, "emptcp-campaign: telemetry on -> %s\n", perf_dir);
@@ -177,13 +182,10 @@ int main(int argc, char** argv) {
   campaign::CampaignResult result;
   try {
     result = runner.run(jobs);
-  } catch (const std::invalid_argument& e) {
-    // A degenerate grid (e.g. an empty seed list) is a spec-authoring
-    // mistake: fail loudly with usage, not with a silent empty campaign.
-    return usage_error(e.what());
   } catch (const std::exception& e) {
-    std::fprintf(stderr, "emptcp-campaign: %s\n", e.what());
-    return 2;
+    // An IO failure, or a degenerate grid (std::invalid_argument, e.g. an
+    // empty seed list): fail loudly, not with a silent empty campaign.
+    return fail(e.what());
   }
 
   for (const campaign::CellOutcome& o : result.cells) {
@@ -197,10 +199,7 @@ int main(int argc, char** argv) {
 
   if (report) {
     std::vector<analysis::AnalyzedRun> runs;
-    if (!analysis::load_analyzed_runs({out_dir}, runs, err)) {
-      std::fprintf(stderr, "emptcp-campaign: %s\n", err.c_str());
-      return 2;
-    }
+    if (!analysis::load_analyzed_runs({out_dir}, runs, err)) return fail(err);
     const std::string rendered = analysis::render_report(std::move(runs));
     std::fwrite(rendered.data(), 1, rendered.size(), stdout);
   }
