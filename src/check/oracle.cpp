@@ -124,6 +124,12 @@ void Oracle::on_trace_event(const trace::Event& e) {
 }
 
 void Oracle::on_tcp_ack(const TcpAckView& v) {
+  for (const std::uint64_t x : {v.snd_una, v.sacked, v.lost, v.cwnd}) {
+    for (int byte = 0; byte < 8; ++byte) {
+      tcp_ack_digest_ ^= (x >> (8 * byte)) & 0xFFu;
+      tcp_ack_digest_ *= 0x100000001B3ULL;
+    }
+  }
   expect(v.snd_una <= v.snd_nxt, "tcp.seq_order",
          "port=" + u64(v.local_port) + " snd_una=" + u64(v.snd_una) +
              " snd_nxt=" + u64(v.snd_nxt));

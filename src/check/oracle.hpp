@@ -74,6 +74,12 @@ class Oracle : public trace::EventObserver {
     std::uint32_t local_port = 0;
   };
   void on_tcp_ack(const TcpAckView& v);
+  /// Running FNV-1a over every on_tcp_ack view's (snd_una, sacked, lost,
+  /// cwnd), in call order: one number that pins a sender's per-ACK
+  /// loss-recovery trajectory for regression tests.
+  [[nodiscard]] std::uint64_t tcp_ack_digest() const {
+    return tcp_ack_digest_;
+  }
 
   /// After every payload insert: `received` application bytes must equal
   /// the reassembly cumulative point minus its initial value (1).
@@ -133,6 +139,7 @@ class Oracle : public trace::EventObserver {
   std::vector<Violation> violations_;
   std::uint64_t violation_count_ = 0;
   std::uint64_t checks_ = 0;
+  std::uint64_t tcp_ack_digest_ = 0xCBF29CE484222325ULL;
 };
 
 }  // namespace emptcp::check

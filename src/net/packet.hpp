@@ -37,6 +37,11 @@ struct MpPrio {
 /// Packet never owns heap memory and per-hop handling stays allocation-
 /// free. The capacity *is* the protocol bound: pushes beyond capacity are
 /// dropped, enforcing kMaxSackBlocks structurally at the generation point.
+///
+/// Precondition: blocks are ascending and disjoint. TcpSocket::fill_sack
+/// copies the receiver's IntervalReassembly map, whose intervals are
+/// sorted, disjoint and above the cumulative ACK, and the sender's
+/// one-pass TcpSocket::apply_sack relies on that order.
 class SackList {
  public:
   using Block = std::pair<std::uint64_t, std::uint64_t>;

@@ -1,20 +1,23 @@
 // Event scheduler: the heart of the discrete-event simulator.
 //
-// The scheduler owns a priority queue of (time, sequence, slot) entries.
-// Ties on time are broken by insertion sequence so execution order is fully
+// The scheduler owns a monotone radix queue of (time, slot) entries. Ties
+// on time run in insertion order, so execution order is fully
 // deterministic. Events can be cancelled; cancellation is O(1) (the slot's
 // generation is bumped and the queue entry is skipped when popped).
 //
 // Hot-path layout: event actions live in a freelist-backed slab of slots,
 // each holding a small-buffer-optimised callable, and queue entries are
-// 24-byte PODs — so scheduling, firing and heap sifting allocate nothing
-// in steady state (only slab/queue growth, which is amortised and then
-// reused for the rest of the run). An EventId is an (index, generation)
-// handle into the slab: stale handles (fired or cancelled events, reused
-// slots) are detected by generation mismatch, keeping cancel-after-fire
-// safe without per-event shared_ptr control blocks.
+// 16-byte PODs in pooled blocks — so scheduling, firing and re-keying
+// allocate nothing in steady state (only slab/pool growth, which is
+// amortised and then reused for the rest of the run). An EventId is an
+// (index, generation) handle into the slab: stale handles (fired or
+// cancelled events, reused slots) are detected by generation mismatch,
+// keeping cancel-after-fire safe without per-event shared_ptr control
+// blocks.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -77,15 +80,13 @@ class Scheduler {
 
   /// Number of entries still queued (cancelled entries count until they
   /// are popped and discarded).
-  [[nodiscard]] std::size_t pending_events() const { return live_count_; }
+  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
 
   /// Timestamp of the earliest queued entry, kTimeNever when the queue is
   /// empty. A cancelled entry still at the top reports its (stale) time —
   /// a conservative lower bound, which is all the shard engine's epoch
   /// planner needs.
-  [[nodiscard]] Time next_event_time() const {
-    return queue_.empty() ? kTimeNever : queue_.top().t;
-  }
+  [[nodiscard]] Time next_event_time() const { return queue_.min_time(); }
 
   /// Hard cap on executed events per run_until call, as a runaway guard.
   void set_event_limit(std::size_t limit) { event_limit_ = limit; }
@@ -112,61 +113,80 @@ class Scheduler {
     std::uint32_t gen = 0;
     std::uint32_t next_free = kNoFreeSlot;
   };
+  /// A queued event: 16 bytes, no seq field. Among equal times the queue
+  /// pops in insertion order by construction (see EventQueue).
   struct Entry {
     Time t = 0;
-    std::uint64_t seq = 0;
     std::uint32_t slot = 0;
     std::uint32_t gen = 0;
   };
 
-  /// Min-heap of 24-byte POD entries, 4-ary: half the levels of a binary
-  /// heap and children on adjacent cache lines, which is where the pop-
-  /// heavy event loop spends its time. Order is strict (t, seq) — seq is
-  /// unique — so execution order is identical for any heap arity.
-  class EventHeap {
+  /// Monotone radix queue (DESIGN.md §6.1). Every queued time is >= floor_,
+  /// the time of the last popped entry; only pop() and rebase() move it.
+  /// Bucket b holds the entries whose time first differs from floor_ in
+  /// bit b-1, so bucket 0 holds exactly those at floor_. Times are
+  /// non-negative int64, so b <= 63. Popping with bucket 0 empty re-keys
+  /// the lowest occupied bucket against its minimum, the new floor_; its
+  /// entries all land in lower buckets. Each bucket is a FIFO chain and
+  /// only ever receives entries while it is empty (a re-key) or newer than
+  /// all queued ones (a push), so equal times pop in insertion order:
+  /// exactly the (time, seq) order of a heap.
+  ///
+  /// Storage is a pool of fixed-size blocks shared by all buckets: it grows
+  /// to the pending high-water plus at most two partial blocks per bucket
+  /// and is then reused, so steady state allocates nothing.
+  class EventQueue {
    public:
-    [[nodiscard]] bool empty() const { return v_.empty(); }
-    [[nodiscard]] const Entry& top() const { return v_.front(); }
-
-    void push(const Entry& e) {
-      std::size_t i = v_.size();
-      v_.push_back(e);
-      while (i != 0) {
-        const std::size_t parent = (i - 1) >> 2;
-        if (!before(e, v_[parent])) break;
-        v_[i] = v_[parent];
-        i = parent;
-      }
-      v_[i] = e;
+    [[nodiscard]] bool empty() const { return size_ == 0; }
+    [[nodiscard]] std::size_t size() const { return size_; }
+    /// Minimum time over every queued entry, kTimeNever when empty. A peek:
+    /// floor_ does not move, so entries between now and it stay legal.
+    [[nodiscard]] Time min_time() const {
+      return occupied_ == 0 ? kTimeNever
+                            : buckets_[std::countr_zero(occupied_)].min;
     }
-
-    void pop() {
-      const Entry last = v_.back();
-      v_.pop_back();
-      if (v_.empty()) return;
-      std::size_t i = 0;
-      const std::size_t n = v_.size();
-      for (;;) {
-        const std::size_t first_child = i * 4 + 1;
-        if (first_child >= n) break;
-        std::size_t best = first_child;
-        const std::size_t end =
-            first_child + 4 < n ? first_child + 4 : n;
-        for (std::size_t c = first_child + 1; c < end; ++c) {
-          if (before(v_[c], v_[best])) best = c;
-        }
-        if (!before(v_[best], last)) break;
-        v_[i] = v_[best];
-        i = best;
-      }
-      v_[i] = last;
-    }
+    /// Requires e.t >= floor_, which schedule_at's t >= now() implies.
+    void push(const Entry& e);
+    /// Removes and returns the earliest entry. Requires !empty().
+    Entry pop();
+    /// Restarts an empty queue's frame at `floor` (<= every later push).
+    void rebase(Time floor) { floor_ = floor; }
 
    private:
-    static bool before(const Entry& a, const Entry& b) {
-      return a.t != b.t ? a.t < b.t : a.seq < b.seq;
+    static constexpr std::uint32_t kBlockEntries = 32;
+    struct Block {
+      Block* next = nullptr;  ///< first, on the line entries[0] shares
+      Entry entries[kBlockEntries];
+    };
+    /// A FIFO chain of blocks. A bucket keeps its first block when it
+    /// drains, so refilling a short bucket never touches the pool.
+    struct Bucket {
+      Block* head = nullptr;
+      Block* tail = nullptr;
+      std::uint32_t head_pos = 0;  ///< read cursor; bucket 0 only
+      std::uint32_t tail_fill = kBlockEntries;  ///< full: append takes a block
+      Time min = kTimeNever;
+    };
+
+    static unsigned bucket_of(Time t, Time floor) {
+      return static_cast<unsigned>(std::bit_width(
+          static_cast<std::uint64_t>(t) ^ static_cast<std::uint64_t>(floor)));
     }
-    std::vector<Entry> v_;
+    void append(unsigned b, Entry e);
+    /// Re-keys the lowest occupied bucket into lower ones (bucket 0 empty).
+    void refill();
+    Block* take_block();
+    void give_block(Block* block) {
+      block->next = free_;
+      free_ = block;
+    }
+
+    std::array<Bucket, 64> buckets_{};
+    std::uint64_t occupied_ = 0;  ///< bit b set iff bucket b is non-empty
+    Time floor_ = 0;
+    std::size_t size_ = 0;
+    Block* free_ = nullptr;
+    std::vector<std::unique_ptr<Block>> blocks_;  ///< owns every block
   };
 
   static constexpr std::uint32_t kNoFreeSlot = 0xFFFFFFFFu;
@@ -188,14 +208,12 @@ class Scheduler {
     return idx < slab_size_ && slot(idx).gen == gen;
   }
 
-  EventHeap queue_;
+  EventQueue queue_;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::size_t slab_size_ = 0;
   std::uint32_t free_head_ = kNoFreeSlot;
   Time now_ = kTimeZero;
-  std::uint64_t next_seq_ = 0;
   std::uint64_t executed_total_ = 0;
-  std::size_t live_count_ = 0;
   std::size_t event_limit_ = 500'000'000;
 };
 

@@ -267,24 +267,43 @@ void TcpSocket::enter_established() {
 
 bool TcpSocket::apply_sack(const net::Packet& pkt) {
   if (pkt.sack.empty()) return false;
+  // One merged walk: retx_ ascends by seq and the blocks ascend and are
+  // disjoint (SackList's precondition), so the only block that can cover a
+  // segment is the first one ending past the segment's start. Segments
+  // below the first block's start cannot be covered; skip them by binary
+  // search.
+  const std::uint64_t first_start = pkt.sack[0].first;
+  std::size_t lo = 0;
+  std::size_t hi = retx_.size();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (retx_[mid].seq < first_start) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  const net::SackList::Block* block = pkt.sack.begin();
+  const net::SackList::Block* const blocks_end = pkt.sack.end();
   bool changed = false;
-  for (TxSegment& seg : retx_) {
+  for (std::size_t i = lo; i < retx_.size(); ++i) {
+    TxSegment& seg = retx_[i];
+    while (block->second <= seg.seq) {
+      if (++block == blocks_end) break;
+    }
+    if (block == blocks_end) break;  // past the last block's end
     if (seg.sacked) continue;
     const std::uint64_t end = seg.seq + seg.size();
-    for (const auto& [s, e] : pkt.sack) {
-      if (seg.seq >= s && end <= e) {
-        seg.sacked = true;
-        sacked_bytes_ += seg.size();
-        if (seg.lost) {
-          // A retransmission (or late original) arrived after all.
-          seg.lost = false;
-          lost_bytes_ -= seg.size();
-        }
-        high_sacked_ = std::max(high_sacked_, end);
-        changed = true;
-        break;
-      }
+    if (seg.seq < block->first || end > block->second) continue;
+    seg.sacked = true;
+    sacked_bytes_ += seg.size();
+    if (seg.lost) {
+      // A retransmission (or late original) arrived after all.
+      seg.lost = false;
+      lost_bytes_ -= seg.size();
     }
+    high_sacked_ = std::max(high_sacked_, end);
+    changed = true;
   }
   if (changed) mark_losses();
   return changed;

@@ -170,6 +170,10 @@ class TcpSocket {
   [[nodiscard]] std::uint64_t pipe() const {
     return bytes_in_flight() - sacked_bytes_ - lost_bytes_;
   }
+  /// The SACK scoreboard's totals: outstanding bytes the peer has SACKed,
+  /// and bytes marked lost whose retransmission is not yet sent.
+  [[nodiscard]] std::uint64_t sacked_bytes() const { return sacked_bytes_; }
+  [[nodiscard]] std::uint64_t lost_bytes() const { return lost_bytes_; }
   [[nodiscard]] std::uint64_t app_bytes_acked() const {
     return app_bytes_acked_;
   }
@@ -261,8 +265,10 @@ class TcpSocket {
   void send_pure_ack();
   void fill_sack(net::Packet& pkt) const;
   void retransmit_front();
-  /// Applies the SACK blocks of an incoming ACK; returns true if any
-  /// segment was newly marked.
+  /// Applies the SACK blocks of an incoming ACK in one pass over the
+  /// blocks and the covered part of retx_; returns true if any segment was
+  /// newly marked. A segment is SACKed only when one block covers all of
+  /// it.
   bool apply_sack(const net::Packet& pkt);
   /// RFC 6675 IsLost: marks unsacked segments more than 3 MSS below the
   /// highest SACK as lost (removing them from the pipe).

@@ -1,8 +1,10 @@
 #include "workload/sharded_fleet.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "analysis/manifest.hpp"
@@ -10,18 +12,32 @@
 #include "app/world.hpp"
 #include "core/energy_info_base.hpp"
 #include "net/shard_link.hpp"
+#include "stats/digest.hpp"
 #include "workload/flow_loop.hpp"
 
 namespace emptcp::workload {
 
 namespace {
 
-std::uint64_t nonzero(std::uint64_t h) { return h == 0 ? 1 : h; }
+/// Nonzero fnv1a64 of "<tag>|<a>|<b>" (decimal), digested from stack
+/// buffers: flow sizes are drawn on every launch and every server-side
+/// request, so this must not allocate.
+std::uint64_t seed_hash(std::string_view tag, std::uint64_t a,
+                        std::uint64_t b) {
+  stats::Fnv1a64Stream h;
+  char digits[20];  // UINT64_MAX has 20 decimal digits
+  h.update(tag);
+  for (const std::uint64_t v : {a, b}) {
+    h.update("|");
+    const auto end = std::to_chars(digits, digits + sizeof digits, v).ptr;
+    h.update(std::string_view(digits, static_cast<std::size_t>(end - digits)));
+  }
+  return h.value() == 0 ? 1 : h.value();
+}
 
 /// Per-cell simulation seed: a pure function of (fleet seed, cell index).
 std::uint64_t cell_seed(std::uint64_t seed, std::size_t cell) {
-  return nonzero(analysis::fnv1a64("cell|" + std::to_string(seed) + "|" +
-                                   std::to_string(cell)));
+  return seed_hash("cell", seed, cell);
 }
 
 }  // namespace
@@ -61,8 +77,7 @@ std::uint64_t ShardedFleet::flows_completed() const {
 std::uint64_t ShardedFleet::flow_bytes(std::uint64_t g) const {
   // Fresh Rng per flow: any cell can evaluate any flow's size without
   // consuming another cell's random stream.
-  sim::Rng rng(nonzero(analysis::fnv1a64(
-      "flow|" + std::to_string(seed_) + "|" + std::to_string(g))));
+  sim::Rng rng(seed_hash("flow", seed_, g));
   return cfg_.flow_size.sample(rng, static_cast<std::size_t>(g));
 }
 

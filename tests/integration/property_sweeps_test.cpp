@@ -11,6 +11,7 @@
 //     comparing the three per-byte costs, for every grid point and device.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <tuple>
 
 #include "app/scenario.hpp"
@@ -29,6 +30,13 @@ struct TcpSweepParam {
   double loss;
   std::uint64_t bytes;
 };
+
+// Print a case by its fields. gtest's fallback dumps the struct's raw
+// bytes, padding included, which makes test IDs change between builds.
+void PrintTo(const TcpSweepParam& p, std::ostream* os) {
+  *os << p.rate_mbps << " Mbps, " << p.rtt_ms << " ms, loss " << p.loss
+      << ", " << p.bytes << " B";
+}
 
 class TcpTransferSweep : public ::testing::TestWithParam<TcpSweepParam> {};
 
@@ -67,6 +75,10 @@ struct MptcpSweepParam {
   double wifi_mbps;
   double cell_mbps;
 };
+
+void PrintTo(const MptcpSweepParam& p, std::ostream* os) {
+  *os << "wifi " << p.wifi_mbps << " Mbps, cell " << p.cell_mbps << " Mbps";
+}
 
 class MptcpAggregationSweep
     : public ::testing::TestWithParam<MptcpSweepParam> {};
