@@ -24,7 +24,7 @@ double measured_overhead_j(const energy::InterfacePowerParams& params,
   ifc.set_default_route(link);
 
   energy::RadioModel radio(params);
-  energy::EnergyTracker tracker(sim, {sim::milliseconds(10), 0.0, false, 1});
+  energy::EnergyTracker tracker(sim, {sim::milliseconds(10), 0.0, false});
   tracker.track(ifc, radio);
   tracker.start();
 

@@ -3,7 +3,6 @@
 #include "app/scenario.hpp"
 #include "stats/csv.hpp"
 #include "stats/trace_export.hpp"
-#include "trace/trace.hpp"
 
 namespace emptcp::analysis {
 namespace {
@@ -32,6 +31,7 @@ std::vector<std::pair<std::string, std::string>> describe_scenario(
   };
   path("wifi", cfg.wifi);
   path("cell", cfg.cell);
+  p.emplace_back("device", quoted(cfg.device.name));
   p.emplace_back("cell_tech",
                  cfg.cell_tech == energy::CellTech::kLte ? "\"LTE\""
                                                          : "\"3G\"");
@@ -57,8 +57,6 @@ std::vector<std::pair<std::string, std::string>> describe_scenario(
 
 std::vector<std::pair<std::string, std::string>> describe_build() {
   std::vector<std::pair<std::string, std::string>> p;
-  p.emplace_back("build.trace_compiled",
-                 EMPTCP_TRACE_COMPILED ? "true" : "false");
 #ifdef NDEBUG
   p.emplace_back("build.ndebug", "true");
 #else

@@ -52,7 +52,7 @@ using stats::Fnv1a64Stream;
 std::vector<std::pair<std::string, std::string>> describe_scenario(
     const app::ScenarioConfig& cfg);
 
-/// Build-flag parameters (trace compiled, NDEBUG, compiler id).
+/// Build-flag parameters (NDEBUG, compiler id).
 std::vector<std::pair<std::string, std::string>> describe_build();
 
 /// Deterministic JSON rendering (field order fixed, shortest-roundtrip

@@ -29,6 +29,7 @@ struct GroupStats {
   double cell_j = 0.0;
   std::uint64_t flows_started = 0;
   std::uint64_t flows_completed = 0;
+  std::vector<double> flow_fcts;  ///< every completed flow's FCT (s)
   LogHistogram flow_fct_s;
   LogHistogram flow_epb_uj;
 };
@@ -97,6 +98,9 @@ std::string render_report(std::vector<AnalyzedRun> runs) {
     g->cell_j += r.cell_j;
     g->flows_started += r.flows_started;
     g->flows_completed += r.flows_completed;
+    for (const RunRollup::FlowRollup& f : r.flows) {
+      g->flow_fcts.push_back(f.fct_s);
+    }
     g->flow_fct_s.merge(r.flow_fct_s);
     g->flow_epb_uj.merge(r.flow_epb_uj);
   }
@@ -167,13 +171,19 @@ std::string render_report(std::vector<AnalyzedRun> runs) {
   bool any_flows = false;
   for (const GroupStats& g : groups) any_flows |= g.flows_started != 0;
   if (any_flows) {
+    // fct_mean/fct_sem: mean +/- SEM over the group's completed flows, so
+    // a one-flow-per-run group reads its download time as the benches
+    // print it.
     out += "\n== flows (per-flow FCT and energy/bit over all seeds) ==\n";
-    Table t({"group", "protocol", "started", "done", "fct_p50", "fct_p95",
-             "fct_p99", "uJ/bit_p50", "uJ/bit_p95"});
+    Table t({"group", "protocol", "started", "done", "fct_mean", "fct_sem",
+             "fct_p50", "fct_p95", "fct_p99", "uJ/bit_p50", "uJ/bit_p95"});
     for (const GroupStats& g : groups) {
       if (g.flows_started == 0) continue;
+      const bool any = !g.flow_fcts.empty();
       t.add_row({g.group, g.protocol, std::to_string(g.flows_started),
                  std::to_string(g.flows_completed),
+                 any ? Table::num(stats::mean(g.flow_fcts), 3) : "-",
+                 any ? Table::num(stats::sem(g.flow_fcts), 3) : "-",
                  quantile_row_value(g.flow_fct_s, 0.50),
                  quantile_row_value(g.flow_fct_s, 0.95),
                  quantile_row_value(g.flow_fct_s, 0.99),

@@ -48,8 +48,6 @@ class VideoStreamClient {
   void start();
 
   [[nodiscard]] const Stats& stats() const { return stats_; }
-  /// Seconds of media currently buffered.
-  [[nodiscard]] double buffered_s() const { return buffered_s_; }
   [[nodiscard]] ClientConnHandle& connection() { return *conn_; }
 
   /// Chunks a media description into the total chunk count.

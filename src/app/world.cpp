@@ -53,7 +53,7 @@ World::World(const ScenarioConfig& cfg, std::uint64_t seed, Addressing addr)
                      : cfg.device.threeg),
       tracker(sim, energy::EnergyTracker::Config{
                        sim::milliseconds(100), cfg.device.platform_mw,
-                       cfg.record_series, 1}) {
+                       cfg.record_series}) {
   // Enable tracing before any instrumented object exists so construction
   // -time events (handshakes scheduled at t=0) are captured too.
   if (cfg.trace) {

@@ -179,7 +179,6 @@ void MdpRunner::epoch() {
 }
 
 void MdpRunner::apply(MdpScheduler::Action a) {
-  last_action_ = a;
   mptcp::Subflow* wsf = conn_.subflow_on(net::InterfaceType::kWifi);
   mptcp::Subflow* csf = conn_.subflow_on(net::InterfaceType::kLte);
   if (wsf == nullptr || csf == nullptr) return;

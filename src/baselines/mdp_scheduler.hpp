@@ -99,10 +99,6 @@ class MdpRunner {
   void start();
   void stop() { timer_.cancel(); }
 
-  [[nodiscard]] MdpScheduler::Action last_action() const {
-    return last_action_;
-  }
-
  private:
   void epoch();
   void apply(MdpScheduler::Action a);
@@ -115,7 +111,6 @@ class MdpRunner {
   sim::Timer timer_;
   std::uint64_t last_wifi_rx_ = 0;
   std::uint64_t last_cell_rx_ = 0;
-  MdpScheduler::Action last_action_ = MdpScheduler::Action::kBoth;
 };
 
 }  // namespace emptcp::baseline

@@ -79,18 +79,6 @@ const char* perf_dir() {
 
 }  // namespace
 
-std::uint64_t derive_cell_seed(const std::string& campaign_name,
-                               app::Protocol p, std::size_t fleet_size,
-                               std::uint64_t seed) {
-  const std::string key = campaign_name + "|" + protocol_slug(p) + "|f" +
-                          std::to_string(fleet_size) + "|s" +
-                          std::to_string(seed);
-  std::uint64_t h = analysis::fnv1a64(key);
-  // An all-zero seed would collapse mt19937_64 initialisation quality;
-  // vanishingly unlikely, but free to rule out.
-  return h == 0 ? 1 : h;
-}
-
 CampaignRunner::CampaignRunner(CampaignSpec spec, std::string out_dir)
     : spec_(std::move(spec)), out_dir_(std::move(out_dir)) {}
 
@@ -183,7 +171,7 @@ std::vector<CampaignCell> CampaignRunner::cells() const {
         cell.protocol = p;
         cell.fleet_size = fleet;
         cell.seed = seed;
-        cell.derived_seed = derive_cell_seed(spec_.name, p, fleet, seed);
+        cell.derived_seed = seed;
         cell.label = spec_.name + "-" + protocol_slug(p) + "-f" +
                      std::to_string(fleet) + "-s" + std::to_string(seed);
         grid.push_back(std::move(cell));
@@ -255,10 +243,6 @@ std::string CampaignRunner::run_cell(const CampaignCell& cell) {
     manifest.params.emplace_back("fleet.cross_every",
                                  std::to_string(cfg.sharding.cross_every));
   }
-  // Rendered as a string: a 64-bit hash is not exactly representable as a
-  // JSON double.
-  manifest.params.emplace_back("fleet.derived_seed",
-                               quoted(std::to_string(cell.derived_seed)));
   const std::string failed = analysis::write_run_artifacts(
       out_dir_, cell.label, m.run.trace_events, m.run.trace_metrics, manifest);
   if (!failed.empty()) {

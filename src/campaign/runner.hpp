@@ -7,11 +7,14 @@
 // `<label>.manifest.json` — into the output directory, exactly the format
 // the benches emit under EMPTCP_TRACE_DIR and `emptcp-report` consumes.
 //
-// Determinism & decorrelation: every cell seeds its simulation with
-// fnv1a64("name|protocol|f<fleet>|s<seed>"), a pure function of the cell's
-// identity. Cells are therefore independent of grid order and worker
-// count: running sequentially, on 4 workers, or resuming half-way produces
-// byte-identical artifacts.
+// Seeds are paired: every cell seeds its World with its spec seed, so at
+// seed s every protocol and fleet size starts from the same random
+// stream (the same on-off holding times and interferer schedules), as
+// the paper's lab runs compared protocols under identical conditions. A
+// one-client cell with one fixed-size flow is then the run
+// Scenario::run_download makes at that seed. Cells are independent of
+// grid order and worker count: running sequentially, on 4 workers, or
+// resuming half-way produces byte-identical artifacts.
 //
 // Resume: a `campaign.ledger` file in the output directory records
 // "<label> <digest>" per completed cell, appended (flushed) as cells
@@ -33,14 +36,11 @@ struct CampaignCell {
   app::Protocol protocol = app::Protocol::kEmptcp;
   std::size_t fleet_size = 0;
   std::uint64_t seed = 0;          ///< spec-level replication seed
-  std::uint64_t derived_seed = 0;  ///< what actually seeds the simulation
+  /// What seeds the simulation; always equal to `seed` (seeds are
+  /// paired, above). Replays of a cell read it.
+  std::uint64_t derived_seed = 0;
   std::string label;               ///< artifact basename
 };
-
-/// fnv1a64 over "name|protocol-slug|f<fleet>|s<seed>".
-std::uint64_t derive_cell_seed(const std::string& campaign_name,
-                               app::Protocol p, std::size_t fleet_size,
-                               std::uint64_t seed);
 
 struct CellOutcome {
   CampaignCell cell;

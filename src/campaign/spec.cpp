@@ -106,8 +106,15 @@ std::string as_str(const JsonScalar& v) {
   return {};
 }
 
+/// Sets the scenario field `key` names (the part after "scenario."). False
+/// with a diagnostic in `err` for an unknown key or an unknown named value.
 bool apply_scenario_key(app::ScenarioConfig& cfg, std::string_view key,
-                        const JsonScalar& v) {
+                        const JsonScalar& v, std::string& err) {
+  const auto bad_value = [&](const char* what) {
+    err = "scenario." + std::string(key) + ": unknown " + what + " \"" +
+          as_str(v) + "\"";
+    return false;
+  };
   auto path_key = [&](app::PathParams& pp, std::string_view sub) {
     if (sub == "down_mbps") { pp.down_mbps = as_num(v); return true; }
     if (sub == "up_mbps") { pp.up_mbps = as_num(v); return true; }
@@ -122,8 +129,12 @@ bool apply_scenario_key(app::ScenarioConfig& cfg, std::string_view key,
     }
     return false;
   };
-  if (starts_with(key, "wifi.")) return path_key(cfg.wifi, key.substr(5));
-  if (starts_with(key, "cell.")) return path_key(cfg.cell, key.substr(5));
+  if (starts_with(key, "wifi.") && path_key(cfg.wifi, key.substr(5))) {
+    return true;
+  }
+  if (starts_with(key, "cell.") && path_key(cfg.cell, key.substr(5))) {
+    return true;
+  }
   if (key == "wifi_onoff") { cfg.wifi_onoff = as_bool(v); return true; }
   if (key == "onoff.high_mbps") { cfg.onoff.high_mbps = as_num(v); return true; }
   if (key == "onoff.low_mbps") { cfg.onoff.low_mbps = as_num(v); return true; }
@@ -157,22 +168,37 @@ bool apply_scenario_key(app::ScenarioConfig& cfg, std::string_view key,
   if (key == "record_series") { cfg.record_series = as_bool(v); return true; }
   if (key == "fidelity") {
     const auto f = sim::fidelity_from_string(as_str(v));
-    if (!f) return false;
+    if (!f) return bad_value("fidelity");
     cfg.fidelity = *f;
     return true;
   }
+  if (key == "device") {
+    const std::string d = as_str(v);
+    if (d == "galaxy-s3") cfg.device = energy::DeviceProfile::galaxy_s3();
+    else if (d == "nexus5") cfg.device = energy::DeviceProfile::nexus5();
+    else return bad_value("device");
+    return true;
+  }
+  if (key == "cell_tech") {
+    const std::string t = as_str(v);
+    if (t == "lte") cfg.cell_tech = energy::CellTech::kLte;
+    else if (t == "3g") cfg.cell_tech = energy::CellTech::kThreeG;
+    else return bad_value("cellular technology");
+    return true;
+  }
+  err = "unknown scenario key: scenario." + std::string(key);
   return false;
 }
 
-bool apply_key(CampaignSpec& spec, const std::string& key,
-               const JsonScalar& v, std::string& err) {
+bool apply_key(CampaignSpec& spec, std::string_view key, const JsonScalar& v,
+               std::string& err) {
   using workload::ArrivalProcess;
   using workload::FleetConfig;
   using workload::SizeDist;
   using workload::ThinkTime;
 
   auto bad_value = [&](const std::string& what) {
-    err = key + ": unknown " + what + " \"" + as_str(v) + "\"";
+    err = std::string(key) + ": unknown " + what + " \"" + as_str(v) + "\"";
     return false;
   };
 
@@ -202,7 +228,10 @@ bool apply_key(CampaignSpec& spec, const std::string& key,
   }
   if (list_key("fleet_sizes")) {
     const auto n = static_cast<std::size_t>(as_num(v));
-    if (n == 0) { err = key + ": fleet size must be >= 1"; return false; }
+    if (n == 0) {
+      err = std::string(key) + ": fleet size must be >= 1";
+      return false;
+    }
     spec.fleet_sizes.push_back(n);
     return true;
   }
@@ -318,7 +347,7 @@ bool apply_key(CampaignSpec& spec, const std::string& key,
   }
   if (key == "sharding.backbone_mbps") {
     if (as_num(v) <= 0.0) {
-      err = key + ": backbone rate must be > 0";
+      err = std::string(key) + ": backbone rate must be > 0";
       return false;
     }
     spec.workload.sharding.backbone_mbps = as_num(v);
@@ -326,7 +355,7 @@ bool apply_key(CampaignSpec& spec, const std::string& key,
   }
   if (key == "sharding.backbone_delay_ms") {
     if (as_num(v) <= 0.0) {
-      err = key +
+      err = std::string(key) +
             ": backbone delay must be > 0 (zero propagation collapses the "
             "conservative lookahead window)";
       return false;
@@ -335,13 +364,9 @@ bool apply_key(CampaignSpec& spec, const std::string& key,
     return true;
   }
   if (starts_with(key, "scenario.")) {
-    if (!apply_scenario_key(spec.workload.scenario, key.substr(9), v)) {
-      err = "unknown scenario key: " + key;
-      return false;
-    }
-    return true;
+    return apply_scenario_key(spec.workload.scenario, key.substr(9), v, err);
   }
-  err = "unknown key: " + key;
+  err = "unknown key: " + std::string(key);
   return false;
 }
 

@@ -55,10 +55,11 @@ const char* protocol_slug(app::Protocol p);
 
 /// Parses a spec from text (JSON object or key=value lines, auto-detected
 /// by a leading '{'). False with a diagnostic in `err` on malformed input,
-/// unknown keys, an incomplete grid (empty protocols/fleet_sizes/seeds), or
-/// a workload that cannot run: hybrid fidelity on a sharded fleet, an
-/// open loop without a positive finite rate or (trace arrivals) without
-/// times, or size.min_bytes above size.max_bytes.
+/// unknown keys or named values, an incomplete grid (empty
+/// protocols/fleet_sizes/seeds), or a workload that cannot run: hybrid
+/// fidelity on a sharded fleet, an open loop without a positive finite
+/// rate or (trace arrivals) without times, or size.min_bytes above
+/// size.max_bytes.
 bool parse_campaign_spec(std::string_view text, CampaignSpec& out,
                          std::string& err);
 

@@ -117,7 +117,6 @@ struct FuzzBatchConfig {
   /// digests (catches nondeterminism the cross-job comparison misses).
   std::size_t recheck = 0;
   std::size_t workers = 0;  ///< 0 = all cores (respects EMPTCP_JOBS)
-  std::string report_progress;  ///< unused hook for CLI progress prefix
   /// Run every seed's primary protocol at hybrid fidelity too and
   /// cross-check against the packet run (see run_seed).
   bool fidelity_diff = false;

@@ -91,7 +91,7 @@ void EnergyTracker::tick(std::uint64_t epoch) {
                                      to_string(rstate)));
       e.last_state = rstate;
     }
-    if (cfg_.record_series && sample_index_ % cfg_.series_stride == 0) {
+    if (cfg_.record_series) {
       e.rates.push_back(RatePoint{sim::to_seconds(now), mbps});
     }
   }
@@ -107,10 +107,9 @@ void EnergyTracker::tick(std::uint64_t epoch) {
     EMPTCP_TRACE(sim_, energy_sample(now, kPlatformTraceCode, "platform",
                                      0.0, plat_mw));
   }
-  if (cfg_.record_series && sample_index_ % cfg_.series_stride == 0) {
+  if (cfg_.record_series) {
     energy_series_.push_back(SeriesPoint{sim::to_seconds(now), total_j()});
   }
-  ++sample_index_;
   sim_.in(cfg_.sample, [this, epoch] { tick(epoch); });
 }
 

@@ -27,9 +27,6 @@ class EnergyTracker {
     sim::Duration sample = sim::milliseconds(100);
     double platform_mw = 0.0;  ///< EnergyModel::platform_mw
     bool record_series = true;
-    /// Keep at most this many series points (downsampled on overflow is
-    /// not implemented; long runs should widen `series_stride`).
-    std::size_t series_stride = 1;  ///< record every Nth sample
   };
 
   struct SeriesPoint {
@@ -120,7 +117,6 @@ class EnergyTracker {
   std::uint64_t epoch_ = 0;  ///< invalidates stale scheduled ticks
   double platform_mj_ = 0.0;
   std::vector<SeriesPoint> energy_series_;
-  std::size_t sample_index_ = 0;
   sim::Time started_at_ = 0;
 };
 

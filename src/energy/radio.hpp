@@ -50,8 +50,6 @@ class RadioModel : public net::RadioHook {
   /// and, eventually, one tail: the paper's fixed overhead per activation).
   [[nodiscard]] int activations() const { return activations_; }
 
-  [[nodiscard]] sim::Time last_activity() const { return last_activity_; }
-
  private:
   InterfacePowerParams params_;
   sim::Duration promo_;

@@ -78,9 +78,6 @@ class MptcpConnection {
   MptcpConnection& operator=(const MptcpConnection&) = delete;
 
   void set_callbacks(Callbacks cb) { cb_ = std::move(cb); }
-  void set_scheduler(std::unique_ptr<SubflowScheduler> s) {
-    scheduler_ = std::move(s);
-  }
 
   /// Application tag announced on the initial SYN (see Packet::app_tag).
   /// Set before connect(); the passive side reads it via app_tag().

@@ -41,7 +41,6 @@ class OnOffBandwidth {
   /// Starts modulating. The first holding time is drawn immediately.
   void start();
 
-  [[nodiscard]] bool is_high() const { return high_; }
   [[nodiscard]] const std::vector<Transition>& transitions() const {
     return log_;
   }

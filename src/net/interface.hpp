@@ -70,7 +70,6 @@ class NetworkInterface {
   [[nodiscard]] bool is_up() const { return up_; }
 
   void set_radio_hook(RadioHook* hook) { radio_ = hook; }
-  [[nodiscard]] RadioHook* radio_hook() const { return radio_; }
 
   [[nodiscard]] std::uint64_t tx_bytes() const { return tx_bytes_; }
   [[nodiscard]] std::uint64_t rx_bytes() const { return rx_bytes_; }

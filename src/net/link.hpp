@@ -80,7 +80,6 @@ class Link {
   /// quantum; deliberately does NOT fire the transient listener — it is
   /// the fast path's own doing, not a path-property change.
   void set_background_bps(double bps);
-  [[nodiscard]] double background_bps() const { return background_bps_; }
 
   void set_prop_delay(sim::Duration d) { cfg_.prop_delay = d; }
   [[nodiscard]] sim::Duration prop_delay() const { return cfg_.prop_delay; }
@@ -90,7 +89,6 @@ class Link {
   void add_pending_delay(sim::Duration d) { pending_delay_ += d; }
 
   [[nodiscard]] const std::string& name() const { return cfg_.name; }
-  [[nodiscard]] std::size_t queued_bytes() const { return queued_bytes_; }
 
   // Counters for tests and diagnostics.
   [[nodiscard]] std::uint64_t delivered_packets() const { return delivered_; }

@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <map>
 
+#include "stats/csv.hpp"
+
 namespace emptcp::runtime {
 
 namespace detail {
@@ -28,28 +30,6 @@ void append_double(std::string& out, double v) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.17g", v);
   out += buf;
-}
-
-void append_json_string(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
 }
 
 }  // namespace
@@ -187,7 +167,7 @@ std::string Telemetry::to_chrome_json() const {
     sep();
     out += R"({"ph":"M","pid":0,"tid":)" + tid +
            R"(,"name":"thread_name","args":{"name":)";
-    append_json_string(out, buf->label());
+    stats::append_json_string(out, buf->label());
     out += "}}";
     for (const SpanRecord& r : buf->spans()) {
       sep();
@@ -196,7 +176,7 @@ std::string Telemetry::to_chrome_json() const {
       out += R"(,"dur":)";
       append_us(out, r.dur_ns);
       out += R"(,"name":)";
-      append_json_string(out, r.name == nullptr ? "?" : r.name);
+      stats::append_json_string(out, r.name == nullptr ? "?" : r.name);
       out += R"(,"cat":"emptcp","args":{"depth":)" +
              std::to_string(r.depth) + "}}";
     }
@@ -205,7 +185,7 @@ std::string Telemetry::to_chrome_json() const {
       out += R"({"ph":"C","pid":0,"tid":)" + tid + R"(,"ts":)";
       append_us(out, c.t_ns);
       out += R"(,"name":)";
-      append_json_string(out, c.name == nullptr ? "?" : c.name);
+      stats::append_json_string(out, c.name == nullptr ? "?" : c.name);
       out += R"(,"args":{"value":)";
       append_double(out, c.value);
       out += "}}";

@@ -29,7 +29,8 @@ char* write_double(char* out, double v);
 
 /// Appends `s` to `out` as a quoted JSON string: '"' and '\\' are
 /// backslash-escaped, other control characters become \u00XX. The one
-/// escaper behind the trace, manifest and perf-document writers.
+/// escaper behind the trace, manifest, perf-document and Chrome-trace
+/// writers.
 void append_json_string(std::string& out, std::string_view s);
 
 /// append_json_string's text written at `out`, which needs

@@ -190,18 +190,6 @@ class TcpSocket {
   [[nodiscard]] const CongestionControl& congestion_control() const {
     return *cc_;
   }
-  [[nodiscard]] bool write_open() const {
-    return (state_ == TcpState::kEstablished ||
-            state_ == TcpState::kCloseWait) &&
-           !fin_queued_;
-  }
-  /// True when the congestion window has room for more payload.
-  [[nodiscard]] bool can_send_now() const {
-    return state_ == TcpState::kEstablished ||
-           state_ == TcpState::kCloseWait
-               ? pipe() < cc_->cwnd()
-               : false;
-  }
 
   // --- Macro-step interface (hybrid fidelity; see DESIGN.md §13) --------
   /// Quiescence predicate: true only when this endpoint is in established

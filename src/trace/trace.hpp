@@ -5,12 +5,10 @@
 //
 //   EMPTCP_TRACE(sim, cwnd(sim.now(), id, cwnd_, ssthresh_));
 //
-// Compile-time gate: building with -DEMPTCP_TRACE_COMPILED=0 removes every
-// site entirely (the CMake option EMPTCP_TRACE controls this, default ON).
-// Runtime gate: when compiled in, each site is a load of the sink's cached
-// bool and a predictable branch — no allocation, no virtual call. The
-// arguments are not evaluated unless the sink is recording, so sites may
-// pass expressions that would be wasteful to compute on the disabled path.
+// Each site is a load of the sink's cached bool and a predictable branch —
+// no allocation, no virtual call. The arguments are not evaluated unless
+// the sink is recording, so sites may pass expressions that would be
+// wasteful to compute on the disabled path.
 // "Recording" covers both full event retention (sink.enable) and the
 // always-on bounded flight recorder; sites that fire record into whichever
 // of the two is active.
@@ -18,11 +16,6 @@
 
 #include "trace/sink.hpp"
 
-#ifndef EMPTCP_TRACE_COMPILED
-#define EMPTCP_TRACE_COMPILED 1
-#endif
-
-#if EMPTCP_TRACE_COMPILED
 #define EMPTCP_TRACE(simref, call)                            \
   do {                                                        \
     ::emptcp::trace::TraceSink& emptcp_ts_ = (simref).trace(); \
@@ -30,8 +23,3 @@
       emptcp_ts_.call;                                        \
     }                                                         \
   } while (0)
-#else
-#define EMPTCP_TRACE(simref, call) \
-  do {                             \
-  } while (0)
-#endif

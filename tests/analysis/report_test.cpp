@@ -295,6 +295,36 @@ TEST(ReportTest, DigestMismatchSurfacesInIntegritySection) {
   EXPECT_NE(report.find("stale.json"), std::string::npos);
 }
 
+TEST(ReportTest, FlowsTableShowsFctMeanAndSemOverCompletedFlows) {
+  // Two seeds of one group: three completed flows (1, 2 and 3 s) and one
+  // that never completed. fct_mean/fct_sem are over the completed three:
+  // 2.000 +/- 1/sqrt(3).
+  AnalyzedRun a;
+  a.rollup.group = "g";
+  a.rollup.protocol = "eMPTCP";
+  a.rollup.seed = 1;
+  a.rollup.flows_started = 3;
+  a.rollup.flows_completed = 2;
+  a.rollup.flows = {{0, 1000.0, 1.0, 0.5}, {1, 1000.0, 3.0, 0.5}};
+  AnalyzedRun b = a;
+  b.rollup.seed = 2;
+  b.rollup.flows_started = 1;
+  b.rollup.flows_completed = 1;
+  b.rollup.flows = {{0, 1000.0, 2.0, 0.5}};
+
+  const std::string report = render_report({a, b});
+  const std::size_t flows = report.find("== flows");
+  ASSERT_NE(flows, std::string::npos);
+  const std::size_t header = report.find("| fct_mean | fct_sem |", flows);
+  ASSERT_NE(header, std::string::npos);
+  const std::size_t row = report.find("| g ", header);
+  ASSERT_NE(row, std::string::npos);
+  const std::string line = report.substr(row, report.find('\n', row) - row);
+  EXPECT_NE(line.find("| 4       | 3    | 2.000    | 0.577   |"),
+            std::string::npos)
+      << line;
+}
+
 TEST(DiffTest, GlobMatchSemantics) {
   EXPECT_TRUE(glob_match("*", "anything"));
   EXPECT_TRUE(glob_match("scheduler.*", "scheduler.ns_per_op"));

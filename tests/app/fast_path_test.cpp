@@ -47,9 +47,6 @@ double fluid_bytes(const RunMetrics& m) {
 // (pinned transitively by the golden trace-determinism suite, which runs
 // the same packet path).
 TEST(FastPathScenarioTest, PacketModeMatchesDefaultByteIdentical) {
-#if !EMPTCP_TRACE_COMPILED
-  GTEST_SKIP() << "tracing compiled out (EMPTCP_TRACE=OFF)";
-#endif
   ScenarioConfig plain = base_config(sim::Fidelity::kPacket);
   ScenarioConfig untouched = base_config(sim::Fidelity::kPacket);
   untouched.fidelity = {};  // value-initialized default must be kPacket
@@ -70,9 +67,6 @@ TEST(FastPathScenarioTest, PacketModeMatchesDefaultByteIdentical) {
 // (min_fluid_bytes = 300 KB) has an armed but never-engaging governor:
 // it may observe, but must not perturb a single packet event.
 TEST(FastPathScenarioTest, HybridBelowEntryFloorIsObservationallyInert) {
-#if !EMPTCP_TRACE_COMPILED
-  GTEST_SKIP() << "tracing compiled out (EMPTCP_TRACE=OFF)";
-#endif
   Scenario packet(base_config(sim::Fidelity::kPacket));
   Scenario hybrid(base_config(sim::Fidelity::kHybrid));
   const std::uint64_t small = 200'000;  // < min_fluid_bytes
@@ -112,7 +106,6 @@ TEST(FastPathScenarioTest, HybridEngagesAndMatchesPacketWithinTolerance) {
     EXPECT_LE(std::abs(mh.energy_j - mp.energy_j), 0.30 * mp.energy_j + 0.3)
         << "seed " << seed;
 
-#if EMPTCP_TRACE_COMPILED
     // Every governor transition is a fastpath record naming its flow (the
     // run's one untagged flow is flow 0) and why it moved; the fluid
     // entries among them are exactly the governor's own count.
@@ -129,7 +122,6 @@ TEST(FastPathScenarioTest, HybridEngagesAndMatchesPacketWithinTolerance) {
     EXPECT_EQ(static_cast<double>(fluid_records),
               run_gauge(mh, "run.fluid_entries"))
         << "seed " << seed;
-#endif
   }
 }
 

@@ -120,6 +120,44 @@ TEST_F(CampaignRunnerTest, RunsGridAndWritesArtifactPairs) {
   }
 }
 
+TEST_F(CampaignRunnerTest, CellsSeedTheirWorldWithTheSpecSeed) {
+  // Seeds are paired: every protocol and fleet size of a 3 x 2 x 3 grid
+  // simulates at the spec seed itself.
+  CampaignSpec spec;
+  std::string err;
+  ASSERT_TRUE(parse_campaign_spec("name = camp\n"
+                                  "protocols = emptcp, mptcp, tcp-wifi\n"
+                                  "fleet_sizes = 4, 16\n"
+                                  "seeds = 1, 2, 3\n",
+                                  spec, err))
+      << err;
+  const std::vector<CampaignCell> cells =
+      CampaignRunner(spec, fresh_dir("seeds").string()).cells();
+  ASSERT_EQ(cells.size(), 18u);
+  for (const CampaignCell& cell : cells) {
+    EXPECT_EQ(cell.derived_seed, cell.seed) << cell.label;
+  }
+
+  // The manifests record the seed once, as `seed`, and the device.
+  const fs::path dir = fresh_dir("manifests");
+  CampaignRunner runner(tiny_spec(), dir.string());
+  runner.run(1);
+  for (const CampaignCell& cell : runner.cells()) {
+    const auto doc = analysis::parse_json_flat(
+        slurp(dir / (cell.label + ".manifest.json")), &err);
+    ASSERT_TRUE(doc.has_value()) << err;
+    analysis::RunManifest manifest;
+    ASSERT_TRUE(analysis::manifest_from_json(*doc, manifest));
+    EXPECT_EQ(manifest.seed, cell.seed);
+    bool device = false;
+    for (const auto& [key, value] : manifest.params) {
+      EXPECT_NE(key, "fleet.derived_seed") << cell.label;
+      device |= key == "device";
+    }
+    EXPECT_TRUE(device) << cell.label;
+  }
+}
+
 TEST_F(CampaignRunnerTest, ResumeSkipsCompletedCells) {
   const fs::path dir = fresh_dir("resume");
   CampaignRunner first(tiny_spec(), dir.string());

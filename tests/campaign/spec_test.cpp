@@ -1,15 +1,15 @@
 // Campaign spec parsing: key=value and JSON forms, loud failure on typos,
-// and the per-cell seed derivation.
+// and every committed spec under examples/campaigns.
 #include "campaign/spec.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <filesystem>
 #include <optional>
-#include <set>
 #include <string>
-
-#include "campaign/runner.hpp"
+#include <vector>
 
 namespace emptcp::campaign {
 namespace {
@@ -208,24 +208,95 @@ TEST(CampaignSpecTest, RejectsMinSizeAboveMaxSize) {
       << err;
 }
 
-TEST(CampaignSpecTest, SeedDerivationIsStableAndDecorrelated) {
-  const std::uint64_t s1 =
-      derive_cell_seed("camp", app::Protocol::kEmptcp, 4, 1);
-  EXPECT_EQ(s1, derive_cell_seed("camp", app::Protocol::kEmptcp, 4, 1));
-  EXPECT_NE(s1, 0u);
+TEST(CampaignSpecTest, ParsesDeviceAndCellTech) {
+  CampaignSpec spec;
+  std::string err;
+  ASSERT_TRUE(parse_campaign_spec(std::string(kGrid), spec, err)) << err;
+  EXPECT_EQ(spec.workload.scenario.device.name,
+            energy::DeviceProfile::galaxy_s3().name);
+  EXPECT_EQ(spec.workload.scenario.cell_tech, energy::CellTech::kLte);
 
-  // Every cell of a 3-protocol x 2-fleet x 3-seed grid gets a distinct
-  // simulation seed.
-  std::set<std::uint64_t> derived;
-  for (const app::Protocol p : {app::Protocol::kEmptcp, app::Protocol::kMptcp,
-                                app::Protocol::kTcpWifi}) {
-    for (const std::size_t fleet : {4u, 16u}) {
-      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
-        derived.insert(derive_cell_seed("camp", p, fleet, seed));
-      }
+  ASSERT_TRUE(parse_campaign_spec(
+      std::string(kGrid) + "scenario.device = nexus5\n"
+                           "scenario.cell_tech = 3g\n",
+      spec, err))
+      << err;
+  EXPECT_EQ(spec.workload.scenario.device.name,
+            energy::DeviceProfile::nexus5().name);
+  EXPECT_EQ(spec.workload.scenario.cell_tech, energy::CellTech::kThreeG);
+
+  ASSERT_TRUE(parse_campaign_spec(
+      std::string(kGrid) + "scenario.device = galaxy-s3\n"
+                           "scenario.cell_tech = lte\n",
+      spec, err))
+      << err;
+  EXPECT_EQ(spec.workload.scenario.device.name,
+            energy::DeviceProfile::galaxy_s3().name);
+  EXPECT_EQ(spec.workload.scenario.cell_tech, energy::CellTech::kLte);
+}
+
+TEST(CampaignSpecTest, RejectsUnknownDeviceAndCellTech) {
+  std::string err;
+  for (const char* bad : {"scenario.device = iphone\n",
+                          "scenario.device = Nexus5\n",
+                          "scenario.device = 5\n",
+                          "scenario.cell_tech = 5g\n",
+                          "scenario.cell_tech = LTE\n"}) {
+    EXPECT_FALSE(parses(bad, err)) << bad;
+    EXPECT_NE(err.find("scenario."), std::string::npos) << err;
+    EXPECT_NE(err.find("unknown"), std::string::npos) << err;
+  }
+  EXPECT_FALSE(parses("scenario.fidelity = fluid\n", err));
+  EXPECT_NE(err.find("scenario.fidelity"), std::string::npos) << err;
+  EXPECT_FALSE(parses("scenario.wifi.bogus = 1\n", err));
+  EXPECT_NE(err.find("scenario.wifi.bogus"), std::string::npos) << err;
+}
+
+/// Every *.spec under examples/campaigns, recursively, in sorted order.
+std::vector<std::filesystem::path> committed_specs() {
+  std::vector<std::filesystem::path> out;
+  for (const auto& e : std::filesystem::recursive_directory_iterator(
+           EMPTCP_CAMPAIGNS_DIR)) {
+    if (e.is_regular_file() && e.path().extension() == ".spec") {
+      out.push_back(e.path());
     }
   }
-  EXPECT_EQ(derived.size(), 18u);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST(CampaignSpecTest, EveryCommittedSpecParses) {
+  const FidelityEnv packet(nullptr);
+  const std::vector<std::filesystem::path> specs = committed_specs();
+  EXPECT_GE(specs.size(), 12u);  // 4 at the top level + 8 under paper/
+  for (const auto& path : specs) {
+    CampaignSpec spec;
+    std::string err;
+    EXPECT_TRUE(load_campaign_spec(path.string(), spec, err)) << err;
+  }
+}
+
+TEST(CampaignSpecTest, PaperSpecsRunOneClientWithOneFixedSizeFlow) {
+  // A cell of such a spec is the run Scenario::run_download makes at the
+  // same seed (tests/campaign/figure_spec_test.cpp), which is what lets
+  // the paper specs stand in for the figure benches.
+  const FidelityEnv packet(nullptr);
+  std::size_t paper = 0;
+  for (const auto& path : committed_specs()) {
+    if (path.parent_path().filename() != "paper") continue;
+    ++paper;
+    CampaignSpec spec;
+    std::string err;
+    ASSERT_TRUE(load_campaign_spec(path.string(), spec, err)) << err;
+    const workload::FleetConfig& w = spec.workload;
+    EXPECT_EQ(spec.fleet_sizes, std::vector<std::size_t>{1}) << path;
+    EXPECT_EQ(w.mode, workload::FleetConfig::Mode::kClosed) << path;
+    EXPECT_EQ(w.flows_per_client, 1u) << path;
+    EXPECT_EQ(w.flow_size.kind, workload::SizeDist::Kind::kFixed) << path;
+    EXPECT_GT(w.flow_size.mean_bytes, 0u) << path;
+    EXPECT_EQ(w.sharding.clients_per_cell, 0u) << path;
+  }
+  EXPECT_EQ(paper, 8u);
 }
 
 TEST(CampaignSpecTest, ProtocolSlugsRoundTrip) {

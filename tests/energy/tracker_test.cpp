@@ -16,7 +16,7 @@ struct TrackerWorld {
       : net(),
         wifi_radio(DeviceProfile::galaxy_s3().wifi),
         cell_radio(DeviceProfile::galaxy_s3().lte),
-        tracker(net.sim, {sim::milliseconds(100), platform_mw, true, 1}) {
+        tracker(net.sim, {sim::milliseconds(100), platform_mw, true}) {
     tracker.track(*net.wifi_if, wifi_radio);
     tracker.track(*net.cell_if, cell_radio);
   }
@@ -188,13 +188,11 @@ TEST(EnergyTrackerTest, BackwardsByteCounterClampedNotWrapped) {
                 .counter("energy.clamped_byte_windows")
                 .value(),
             1u);
-#if EMPTCP_TRACE_COMPILED
   bool warned = false;
   for (const trace::Event& e : w.net.sim.trace().events()) {
     if (e.kind == trace::Kind::kWarning) warned = true;
   }
   EXPECT_TRUE(warned);
-#endif
 }
 
 // Window-boundary seam of the hybrid fast path (DESIGN.md §13): a

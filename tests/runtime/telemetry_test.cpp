@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/json.hpp"
 #include "analysis/perf_report.hpp"
 
 namespace emptcp::runtime {
@@ -146,6 +147,35 @@ TEST_F(TelemetryTest, ChromeExportValidatesStructurally) {
   EXPECT_NE(json.find("\"test-main\""), std::string::npos);
   EXPECT_NE(json.find("export.span"), std::string::npos);
   EXPECT_NE(json.find("export.counter"), std::string::npos);
+}
+
+TEST_F(TelemetryTest, ChromeExportEscapesSpanNames) {
+  // A quote, a backslash, a newline and a raw control byte in a span and
+  // a counter name must leave the export valid JSON that reads back as
+  // the name recorded.
+  const std::string name = "quote\" backslash\\ newline\n ctrl\x01.";
+  Telemetry& t = Telemetry::instance();
+  t.enable(true);
+  const char* interned = t.intern(name);
+  {
+    EMPTCP_SPAN(interned);
+  }
+  t.counter(interned, 1.0);
+  t.enable(false);
+
+  const std::string json = t.to_chrome_json();
+  std::size_t events = 0;
+  std::string err;
+  ASSERT_TRUE(analysis::validate_chrome_trace(json, events, err)) << err;
+  const auto flat = analysis::parse_json_flat(json, &err);
+  ASSERT_TRUE(flat.has_value()) << err;
+  std::size_t matches = 0;
+  for (const auto& [path, v] : *flat) {
+    if (v.type == analysis::JsonScalar::Type::kString && v.str == name) {
+      ++matches;
+    }
+  }
+  EXPECT_EQ(matches, 2u);  // the span record and the counter record
 }
 
 TEST_F(TelemetryTest, ClearDropsRecordsKeepsRegistration) {

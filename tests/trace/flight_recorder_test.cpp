@@ -120,7 +120,6 @@ TEST(FlightRecorderTest, CurrentSinkFollowsSimulationLifetime) {
   EXPECT_EQ(current_sink(), nullptr);
 }
 
-#if EMPTCP_TRACE_COMPILED
 TEST(FlightRecorderTest, EventLoopExceptionDumpsTail) {
   sim::Simulation sim(1);
   EMPTCP_TRACE(sim, warning(sim.now(), "about-to-explode", 1, 2));
@@ -131,7 +130,6 @@ TEST(FlightRecorderTest, EventLoopExceptionDumpsTail) {
   EXPECT_NE(err.find("flight recorder"), std::string::npos);
   EXPECT_NE(err.find("about-to-explode"), std::string::npos);
 }
-#endif
 
 }  // namespace
 }  // namespace emptcp::trace

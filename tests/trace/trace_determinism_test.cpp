@@ -39,9 +39,6 @@ std::string traced_jsonl(const app::ScenarioConfig& cfg, app::Protocol p,
 }
 
 TEST(TraceDeterminismTest, SmallScenarioCoversEveryInstrumentedLayer) {
-#if !EMPTCP_TRACE_COMPILED
-  GTEST_SKIP() << "tracing compiled out (EMPTCP_TRACE=OFF)";
-#endif
   app::Scenario s(traced_config());
   const app::RunMetrics m = s.run_download(app::Protocol::kMptcp,
                                            256 * 1024, 7);
@@ -74,9 +71,6 @@ TEST(TraceDeterminismTest, SmallScenarioCoversEveryInstrumentedLayer) {
 }
 
 TEST(TraceDeterminismTest, SameSeedSerializesByteIdentical) {
-#if !EMPTCP_TRACE_COMPILED
-  GTEST_SKIP() << "tracing compiled out (EMPTCP_TRACE=OFF)";
-#endif
   const app::ScenarioConfig cfg = traced_config();
   const std::string a = traced_jsonl(cfg, app::Protocol::kEmptcp, 11);
   const std::string b = traced_jsonl(cfg, app::Protocol::kEmptcp, 11);
@@ -90,9 +84,6 @@ TEST(TraceDeterminismTest, SameSeedSerializesByteIdentical) {
 }
 
 TEST(TraceDeterminismTest, SequentialAndParallelReplicationsByteIdentical) {
-#if !EMPTCP_TRACE_COMPILED
-  GTEST_SKIP() << "tracing compiled out (EMPTCP_TRACE=OFF)";
-#endif
   const app::ScenarioConfig cfg = traced_config();
   const std::vector<app::Protocol> protocols = {app::Protocol::kMptcp,
                                                 app::Protocol::kEmptcp};

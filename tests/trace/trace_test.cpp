@@ -33,35 +33,22 @@ TEST(TraceSinkTest, MacroGateSkipsArgumentEvaluationWhenFullyOff) {
   // Default state: retention off, flight recorder on — the macro must run
   // so the ring sees the event, but nothing lands in the trace stream.
   EMPTCP_TRACE(sim, cwnd(stamp(), 1, 2, 3));
-#if EMPTCP_TRACE_COMPILED
   EXPECT_EQ(evals, 1);
   EXPECT_EQ(sim.trace().flight().total(), 1u);
-#else
-  EXPECT_EQ(evals, 0);
-#endif
   EXPECT_EQ(sim.trace().size(), 0u);
 
   // Fully off (retention off + flight recorder off): neither the record
   // call nor its arguments run.
   sim.trace().flight_enable(false);
   EMPTCP_TRACE(sim, cwnd(stamp(), 1, 2, 3));
-#if EMPTCP_TRACE_COMPILED
   EXPECT_EQ(evals, 1);
-#else
-  EXPECT_EQ(evals, 0);
-#endif
   EXPECT_EQ(sim.trace().size(), 0u);
 
   sim.trace().enable();
   EMPTCP_TRACE(sim, cwnd(stamp(), 1, 2, 3));
-#if EMPTCP_TRACE_COMPILED
   EXPECT_EQ(evals, 2);
   ASSERT_EQ(sim.trace().size(), 1u);
   EXPECT_EQ(sim.trace().events()[0].kind, Kind::kCwnd);
-#else
-  EXPECT_EQ(evals, 0);
-  EXPECT_EQ(sim.trace().size(), 0u);
-#endif
 }
 
 TEST(TraceSinkTest, TypedRecordsCarryTheirFields) {
