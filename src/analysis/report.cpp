@@ -30,6 +30,7 @@ struct GroupStats {
   std::uint64_t flows_started = 0;
   std::uint64_t flows_completed = 0;
   std::vector<double> flow_fcts;  ///< every completed flow's FCT (s)
+  std::vector<double> startup_s, stall_s, rebuffers;  ///< per stream flow
   LogHistogram flow_fct_s;
   LogHistogram flow_epb_uj;
 };
@@ -101,6 +102,11 @@ std::string render_report(std::vector<AnalyzedRun> runs) {
     for (const RunRollup::FlowRollup& f : r.flows) {
       g->flow_fcts.push_back(f.fct_s);
     }
+    for (const RunRollup::StreamRollup& s : r.streams) {
+      g->startup_s.push_back(s.startup_s);
+      g->stall_s.push_back(s.stall_s);
+      g->rebuffers.push_back(s.rebuffers);
+    }
     g->flow_fct_s.merge(r.flow_fct_s);
     g->flow_epb_uj.merge(r.flow_epb_uj);
   }
@@ -165,9 +171,8 @@ std::string render_report(std::vector<AnalyzedRun> runs) {
     out += t.render();
   }
 
-  // -- per-flow distributions (fleet workloads only) ------------------------
-  // Rendered only when some run carried flow-level events, so single-flow
-  // scenario reports stay byte-identical to their goldens.
+  // -- per-flow distributions ----------------------------------------------
+  // Rendered only when some run carried flow-level events.
   bool any_flows = false;
   for (const GroupStats& g : groups) any_flows |= g.flows_started != 0;
   if (any_flows) {
@@ -200,6 +205,23 @@ std::string render_report(std::vector<AnalyzedRun> runs) {
       }
       out += "\n";
     }
+  }
+
+  // -- stream playback quality (stream flows only) ---------------------------
+  bool any_streams = false;
+  for (const GroupStats& g : groups) any_streams |= !g.startup_s.empty();
+  if (any_streams) {
+    out += "\n== streams (playback per stream flow, mean over all seeds) ==\n";
+    Table t({"group", "protocol", "streams", "startup_s", "stall_s",
+             "rebuffers"});
+    for (const GroupStats& g : groups) {
+      if (g.startup_s.empty()) continue;
+      t.add_row({g.group, g.protocol, std::to_string(g.startup_s.size()),
+                 Table::num(stats::mean(g.startup_s), 3),
+                 Table::num(stats::mean(g.stall_s), 3),
+                 Table::num(stats::mean(g.rebuffers), 3)});
+    }
+    out += t.render();
   }
 
   // -- CDF export (download time per group/protocol) ------------------------

@@ -117,6 +117,9 @@ void RollupBuilder::add(const TraceLine& e) {
     if (bytes > 0.0) r_.flow_epb_uj.add(energy * 1e6 / (bytes * 8.0));
     r_.flows.push_back({static_cast<std::uint64_t>(e.num("flow", 0.0)),
                         bytes, fct, energy});
+  } else if (kind == "stream") {
+    r_.streams.push_back({e.num("startup_s", 0.0), e.num("stall_s", 0.0),
+                          e.num("rebuffers", 0.0)});
   } else if (kind == "warning") {
     ++r_.warnings;
   }

@@ -68,7 +68,7 @@ struct RunRollup {
   std::uint64_t fast_recoveries = 0;
   std::uint64_t reinjections = 0;
 
-  // Per-flow workload view (fleet runs; zero/empty for single-flow runs).
+  // Per-flow workload view (from flow_start / flow_complete events).
   std::uint64_t flows_started = 0;
   std::uint64_t flows_completed = 0;
   LogHistogram flow_fct_s;    ///< completed-flow completion time (seconds)
@@ -85,6 +85,13 @@ struct RunRollup {
     double energy_j = 0.0;
   };
   std::vector<FlowRollup> flows;
+  /// One stream flow's playback quality, from its stream trace event.
+  struct StreamRollup {
+    double startup_s = 0.0;
+    double stall_s = 0.0;
+    double rebuffers = 0.0;
+  };
+  std::vector<StreamRollup> streams;
 
   [[nodiscard]] double energy_per_bit_uj() const {
     return bytes == 0 ? 0.0

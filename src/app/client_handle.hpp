@@ -32,6 +32,8 @@ class ClientConnHandle {
   virtual void send(std::uint64_t bytes) = 0;
   virtual void shutdown_write() = 0;
   [[nodiscard]] virtual std::uint64_t bytes_received() const = 0;
+  /// Bytes sent that the peer acknowledged (an upload's progress).
+  [[nodiscard]] virtual std::uint64_t bytes_acked() const { return 0; }
   /// Path-usage switches made by the protocol's controller (0 for
   /// protocols without one).
   [[nodiscard]] virtual std::uint64_t controller_switches() const {

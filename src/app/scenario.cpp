@@ -1,12 +1,9 @@
 #include "app/scenario.hpp"
 
-#include <cstring>
-#include <functional>
-#include <memory>
 #include <optional>
 
-#include "app/bulk_download.hpp"
 #include "app/world.hpp"
+#include "workload/flow_loop.hpp"
 
 namespace emptcp::app {
 
@@ -42,158 +39,89 @@ std::optional<Protocol> protocol_from_string(std::string_view name) {
 
 namespace {
 
-/// The skeleton every Scenario::run_* shares: the world and its file
-/// server, then the caller's application (built before drive(), so its
-/// clients exist before the tracker starts), then drive().
-struct Run {
-  Run(const ScenarioConfig& cfg, std::uint64_t seed, bool close_after_response,
-      std::function<std::uint64_t(std::size_t, std::size_t)> resolver,
-      std::uint64_t request_bytes)
-      : w(cfg, seed),
-        server(w.sim, w.server,
-               {.port = kPort,
-                .request_bytes = request_bytes,
-                .close_after_response = close_after_response,
-                .resolver = std::move(resolver),
-                .mptcp = make_mptcp_cfg(cfg, true)}) {}
-
-  /// Starts the tracker, the dynamics and then the application; runs until
-  /// finish() (bounded by max_sim_time), then through the radio tails if it
-  /// finished. With a `horizon`, runs exactly that long instead, with no
-  /// drain. Returns whether the application finished.
-  bool drive(const std::function<void()>& start_app,
-             std::optional<sim::Duration> horizon = std::nullopt) {
-    w.tracker.start();
-    w.start_dynamics();
-    start_app();
-    if (horizon) {
-      w.sim.run_until(*horizon);
-    } else {
-      advance_until(w, [this] { return done_at.has_value(); },
-                    w.scfg.max_sim_time);
-      if (done_at) drain_tails(w, w.scfg.max_drain);
-    }
-    w.tracker.stop();
-    return horizon || done_at;
+/// One client running one flow of `application` (of `bytes`, for a
+/// download or an upload) through World + workload::FlowLoop: until the
+/// flow completes, then through the radio tails, or with a `horizon`
+/// exactly that long. The run's time is its flow's completion, not the end
+/// of the drain as for a fleet.
+RunMetrics run_flow(const ScenarioConfig& cfg, Protocol p,
+                    workload::Application application, std::uint64_t bytes,
+                    std::uint64_t seed,
+                    std::optional<sim::Duration> horizon = std::nullopt) {
+  workload::FleetConfig fc;
+  fc.scenario = cfg;
+  fc.protocol = p;
+  fc.application = application;
+  fc.clients = 1;
+  fc.flows_per_client = 1;
+  fc.flow_size = {.mean_bytes = bytes, .min_bytes = 0, .max_bytes = ~0ULL};
+  World w(fc.scenario, seed);
+  workload::FlowLoop loop(fc, w, {.clients = 1}, {});
+  loop.start();
+  if (horizon) {
+    w.sim.run_until(*horizon);
+  } else {
+    advance_until(w, [&] { return loop.done(); }, cfg.max_sim_time);
+    if (loop.done()) drain_tails(w, cfg.max_drain);
   }
+  w.tracker.stop();
 
-  /// The application's completion callback.
-  void finish() { done_at = sim::to_seconds(w.sim.now()); }
-  /// When the application finished, or now if it never did.
-  [[nodiscard]] double end_s() const {
-    return done_at.value_or(sim::to_seconds(w.sim.now()));
+  const workload::FlowRecord& f = loop.collect().front();
+  const double time_s = horizon       ? sim::to_seconds(*horizon)
+                        : f.completed ? f.end_s
+                                      : sim::to_seconds(w.sim.now());
+  RunMetrics m = collect_core(w, horizon || f.completed, time_s, f.delivered,
+                              loop.controller_switches(0));
+  if (const VideoStreamClient* player = loop.player(0)) {
+    m.startup_delay_s = player->stats().started_at_s;
+    m.stall_time_s = player->stats().stall_time_s;
+    m.rebuffer_events = player->stats().rebuffer_events;
   }
-
-  World w;
-  FileServer server;
-  std::optional<double> done_at;
-};
+  if (application.kind == workload::Application::Kind::kUpload &&
+      time_s > 0.0) {
+    // An upload's rates are what the device sent.
+    m.mean_wifi_mbps =
+        static_cast<double>(w.wifi_if->tx_bytes()) * 8.0 / 1e6 / time_s;
+    m.mean_cell_mbps =
+        static_cast<double>(w.cell_if->tx_bytes()) * 8.0 / 1e6 / time_s;
+  }
+  return m;
+}
 
 }  // namespace
 
 RunMetrics Scenario::run_download(Protocol p, std::uint64_t bytes,
                                   std::uint64_t seed) {
-  Run run(
-      cfg_, seed, /*close_after_response=*/true,
-      [bytes](std::size_t, std::size_t req) { return req == 0 ? bytes : 0; },
-      cfg_.request_bytes);
-  auto client = make_client(run.w, p);
-  ClientConnHandle::Callbacks cb;
-  cb.on_established = [&] { client->send(cfg_.request_bytes); };
-  cb.on_eof = [&] {
-    run.finish();
-    client->shutdown_write();
-  };
-  client->set_callbacks(std::move(cb));
-  const bool completed = run.drive([&] { client->connect(); });
-  return collect(run.w, *client, completed, run.end_s());
+  return run_flow(cfg_, p, {}, bytes, seed);
 }
 
 RunMetrics Scenario::run_upload(Protocol p, std::uint64_t bytes,
                                 std::uint64_t seed) {
-  // The server is a pure sink: it never responds, and half-closes its own
-  // write side once the client finishes uploading.
-  Run run(
-      cfg_, seed, /*close_after_response=*/false,
-      [](std::size_t, std::size_t) { return 0; }, cfg_.request_bytes);
-  auto client = make_client(run.w, p);
-  ClientConnHandle::Callbacks cb;
-  cb.on_established = [&] {
-    client->send(bytes);
-    client->shutdown_write();
-  };
-  cb.on_closed = [&] { run.finish(); };
-  client->set_callbacks(std::move(cb));
-  const bool completed = run.drive([&] { client->connect(); });
-
-  RunMetrics m = collect(run.w, *client, completed, run.end_s());
-  // For uploads the interesting byte count is what the device pushed out.
-  m.bytes_received = completed ? bytes : 0;
-  if (m.download_time_s > 0.0) {
-    m.mean_wifi_mbps = static_cast<double>(run.w.wifi_if->tx_bytes()) *
-                       8.0 / 1e6 / m.download_time_s;
-    m.mean_cell_mbps = static_cast<double>(run.w.cell_if->tx_bytes()) *
-                       8.0 / 1e6 / m.download_time_s;
-  }
-  return m;
+  return run_flow(cfg_, p, {.kind = workload::Application::Kind::kUpload},
+                  bytes, seed);
 }
 
 RunMetrics Scenario::run_timed(Protocol p, sim::Duration duration,
                                std::uint64_t seed) {
-  // An endless stream: one effectively unbounded response.
-  Run run(
-      cfg_, seed, /*close_after_response=*/false,
-      [](std::size_t, std::size_t req) {
-        return req == 0 ? std::uint64_t{1} << 40 : 0;
-      },
-      cfg_.request_bytes);
-  auto client = make_client(run.w, p);
-  ClientConnHandle::Callbacks cb;
-  cb.on_established = [&] { client->send(cfg_.request_bytes); };
-  client->set_callbacks(std::move(cb));
-  run.drive([&] { client->connect(); }, duration);
-  return collect(run.w, *client, true, sim::to_seconds(duration));
+  return run_flow(cfg_, p, {}, std::uint64_t{1} << 40, seed, duration);
 }
 
 RunMetrics Scenario::run_stream(Protocol p,
                                 VideoStreamClient::Config stream,
                                 std::uint64_t seed) {
-  // The server answers every request with one media chunk.
-  Run run(
-      cfg_, seed, /*close_after_response=*/false,
-      [chunk = stream.chunk_bytes](std::size_t, std::size_t) { return chunk; },
-      stream.request_bytes);
-  VideoStreamClient player(run.w.sim, stream, make_client(run.w, p),
-                           [&] { run.finish(); });
-  const bool completed = run.drive([&] { player.start(); });
-
-  RunMetrics m = collect(run.w, player.connection(), completed, run.end_s());
-  m.startup_delay_s = player.stats().started_at_s;
-  m.stall_time_s = player.stats().stall_time_s;
-  m.rebuffer_events = player.stats().rebuffer_events;
-  return m;
+  return run_flow(cfg_, p,
+                  {.kind = workload::Application::Kind::kStream,
+                   .stream = stream},
+                  0, seed);
 }
 
 RunMetrics Scenario::run_web_page(Protocol p, const WebPage& page,
                                   std::size_t parallel, std::uint64_t seed) {
-  // Persistent connections: the server half-closes only when the client
-  // does.
-  Run run(
-      cfg_, seed, /*close_after_response=*/false,
-      [&page, parallel](std::size_t conn, std::size_t req) {
-        return page.object_for(conn, req, parallel);
-      },
-      cfg_.request_bytes);
-  WebBrowserClient::Config bcfg;
-  bcfg.parallel = parallel;
-  bcfg.request_bytes = cfg_.request_bytes;
-  // The browser opens its connections in start(), after the tracker.
-  WebBrowserClient browser(
-      page, bcfg, [&] { return make_client(run.w, p); },
-      [&] { run.finish(); });
-  const bool completed = run.drive([&] { browser.start(); });
-  return collect_core(run.w, completed, run.end_s(), browser.bytes_received(),
-                      0);
+  return run_flow(cfg_, p,
+                  {.kind = workload::Application::Kind::kWebPage,
+                   .page = &page,
+                   .parallel = parallel},
+                  0, seed);
 }
 
 }  // namespace emptcp::app

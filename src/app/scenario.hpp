@@ -2,10 +2,14 @@
 //
 // Reproduces the paper's testbed (§4.1): a mobile client with WiFi and LTE
 // interfaces, a wired server reachable over both paths, a device energy
-// model, and the workload applications. Each run builds a fresh simulation
-// from (config, protocol, seed), executes the workload, and returns the
-// measurements the paper reports: total energy, download time, bytes, and
-// the trace series behind the time-series figures.
+// model, and the workload applications. Each run builds a fresh World from
+// (config, seed) and runs one client's one flow of its application —
+// download, upload, stream or web page — through workload::FlowLoop, the
+// flow driver the fleets and campaign cells share, so a one-client,
+// one-flow campaign cell is the same run. It returns the measurements the
+// paper reports: total energy, the flow's completion time (not the end of
+// the radio-tail drain, which a fleet's time is), bytes, and the trace
+// series behind the time-series figures.
 //
 // Scenario knobs map one-to-one onto the paper's experiments:
 //   * static good/bad WiFi          -> PathParams rates (Figs. 5, 6)
@@ -113,11 +117,8 @@ struct RunMetrics {
   double wifi_j = 0.0;
   double cell_j = 0.0;
   std::uint64_t bytes_received = 0;
-  double mean_wifi_mbps = 0.0;  ///< rx average over the run
+  double mean_wifi_mbps = 0.0;  ///< rx (an upload's tx) average over the run
   double mean_cell_mbps = 0.0;
-  /// Configured path capacities (ground truth for §5.1 categorisation).
-  double wifi_capacity_mbps = 0.0;
-  double cell_capacity_mbps = 0.0;
   bool cellular_used = false;
   std::uint64_t controller_switches = 0;
   int cellular_activations = 0;
@@ -174,8 +175,6 @@ class Scenario {
   /// startup delay, rebuffering and energy.
   RunMetrics run_stream(Protocol p, VideoStreamClient::Config stream,
                         std::uint64_t seed);
-
-  [[nodiscard]] const ScenarioConfig& config() const { return cfg_; }
 
  private:
   ScenarioConfig cfg_;

@@ -19,11 +19,10 @@ VideoStreamClient::VideoStreamClient(sim::Simulation& sim, Config cfg,
   conn_->set_callbacks(std::move(cb));
 }
 
-std::size_t VideoStreamClient::total_chunks() const {
-  const double chunk_s = static_cast<double>(cfg_.chunk_bytes) * 8.0 / 1e6 /
-                         cfg_.bitrate_mbps;
-  return static_cast<std::size_t>(
-      std::ceil(cfg_.media_duration_s / chunk_s));
+std::size_t VideoStreamClient::total_chunks(const Config& cfg) {
+  const double chunk_s =
+      static_cast<double>(cfg.chunk_bytes) * 8.0 / 1e6 / cfg.bitrate_mbps;
+  return static_cast<std::size_t>(std::ceil(cfg.media_duration_s / chunk_s));
 }
 
 void VideoStreamClient::start() {
@@ -41,7 +40,6 @@ void VideoStreamClient::maybe_request() {
 }
 
 void VideoStreamClient::on_data(std::uint64_t newly) {
-  stats_.bytes_fetched += newly;
   partial_chunk_ += newly;
   while (partial_chunk_ >= cfg_.chunk_bytes) {
     partial_chunk_ -= cfg_.chunk_bytes;
@@ -82,7 +80,6 @@ void VideoStreamClient::tick() {
 
   if (played_s_ >= cfg_.media_duration_s && !stats_.finished) {
     stats_.finished = true;
-    stats_.finished_at_s = sim::to_seconds(sim_.now());
     conn_->shutdown_write();
     if (on_finished_) on_finished_();
     return;  // stop ticking

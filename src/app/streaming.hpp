@@ -35,10 +35,8 @@ class VideoStreamClient {
   struct Stats {
     bool finished = false;      ///< media fully played out
     double started_at_s = 0.0;  ///< startup delay
-    double finished_at_s = 0.0;
     int rebuffer_events = 0;
     double stall_time_s = 0.0;  ///< total time spent stalled after start
-    std::uint64_t bytes_fetched = 0;
   };
 
   VideoStreamClient(sim::Simulation& sim, Config cfg,
@@ -51,7 +49,8 @@ class VideoStreamClient {
   [[nodiscard]] ClientConnHandle& connection() { return *conn_; }
 
   /// Chunks a media description into the total chunk count.
-  [[nodiscard]] std::size_t total_chunks() const;
+  [[nodiscard]] static std::size_t total_chunks(const Config& cfg);
+  [[nodiscard]] std::size_t total_chunks() const { return total_chunks(cfg_); }
 
  private:
   void maybe_request();

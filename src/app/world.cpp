@@ -1,5 +1,6 @@
 #include "app/world.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <type_traits>
 
@@ -290,6 +291,9 @@ class MetaHandle final : public ClientConnHandle {
   [[nodiscard]] std::uint64_t bytes_received() const override {
     return meta_->data_bytes_received();
   }
+  [[nodiscard]] std::uint64_t bytes_acked() const override {
+    return meta_->data_bytes_acked();
+  }
 
  private:
   World& w_;
@@ -328,6 +332,9 @@ class DualPathHandle final : public ClientConnHandle {
   [[nodiscard]] std::uint64_t bytes_received() const override {
     return conn_->mptcp().data_bytes_received();
   }
+  [[nodiscard]] std::uint64_t bytes_acked() const override {
+    return conn_->mptcp().data_bytes_acked();
+  }
   [[nodiscard]] std::uint64_t controller_switches() const override {
     if constexpr (std::is_same_v<Conn, core::EmptcpConnection>) {
       return conn_->controller().switch_count();
@@ -359,10 +366,6 @@ stats::Series to_series(
 
 }  // namespace
 
-std::unique_ptr<ClientConnHandle> make_client(World& w, Protocol p) {
-  return make_client(w, p, w.addrs.server);
-}
-
 std::unique_ptr<ClientConnHandle> make_client(World& w, Protocol p,
                                               net::Addr server) {
   switch (p) {
@@ -391,8 +394,6 @@ RunMetrics collect_totals(const std::vector<World*>& worlds, bool completed,
   m.completed = completed;
   m.download_time_s = download_time_s;
   m.bytes_received = bytes_received;
-  m.wifi_capacity_mbps = worlds.front()->scfg.wifi.down_mbps;
-  m.cell_capacity_mbps = worlds.front()->scfg.cell.down_mbps;
   std::uint64_t wifi_rx = 0;
   std::uint64_t cell_rx = 0;
   for (World* w : worlds) {
@@ -455,16 +456,10 @@ RunMetrics collect_core(World& w, bool completed, double download_time_s,
   return m;
 }
 
-RunMetrics collect(World& w, const ClientConnHandle& client,
-                   bool completed, double download_time_s) {
-  return collect_core(w, completed, download_time_s, client.bytes_received(),
-                      client.controller_switches());
-}
-
 void advance_until(World& w, const std::function<bool()>& done,
                    sim::Time deadline) {
   while (!done() && w.sim.now() < deadline) {
-    w.sim.run_until(w.sim.now() + sim::milliseconds(200));
+    w.sim.run_until(std::min(w.sim.now() + sim::milliseconds(200), deadline));
   }
 }
 

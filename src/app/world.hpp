@@ -3,9 +3,10 @@
 // Reproduces the paper's §4.1 setup as a reusable object: a mobile client
 // with WiFi and LTE interfaces, a wired server reachable over both paths,
 // the access/WAN link chains, the contended WiFi channel, the device
-// radios and the energy tracker. Scenario (single-connection figure runs)
-// and workload::ClientFleet (multi-flow populations) both instantiate one
-// World per (config, seed) and drive their own applications inside it.
+// radios and the energy tracker. Scenario (one client's one flow) and the
+// fleets (multi-flow populations) instantiate one World per (config, seed),
+// or per cell, and drive their applications inside it through
+// workload::FlowLoop.
 //
 // The client-connection factory lives here too: make_client() returns the
 // protocol-appropriate ClientConnHandle (plain TCP, MPTCP, eMPTCP,
@@ -124,10 +125,7 @@ struct World {
 };
 
 /// Builds the protocol-appropriate client connection inside `w`, targeting
-/// the world's own server.
-std::unique_ptr<ClientConnHandle> make_client(World& w, Protocol p);
-
-/// Same, but targeting `server` — another cell's file server in a sharded
+/// `server`: the world's own, or another cell's file server in a sharded
 /// fleet, reached over the cross-shard backbone.
 std::unique_ptr<ClientConnHandle> make_client(World& w, Protocol p,
                                               net::Addr server);
@@ -139,17 +137,15 @@ RunMetrics collect_totals(const std::vector<World*>& worlds, bool completed,
                           double download_time_s,
                           std::uint64_t bytes_received);
 
-/// Shared run collection: everything derivable from the world plus the
-/// caller-supplied completion state and byte count (multi-connection runs
-/// have no single ClientConnHandle, so those arrive as parameters).
+/// One world's run collection: everything derivable from the world plus
+/// the caller-supplied completion state, byte count and controller
+/// switches.
 RunMetrics collect_core(World& w, bool completed, double download_time_s,
                         std::uint64_t bytes_received,
                         std::uint64_t controller_switches);
 
-RunMetrics collect(World& w, const ClientConnHandle& client, bool completed,
-                   double download_time_s);
-
-/// Advances the simulation in 200 ms slices until `done()` or `deadline`.
+/// Advances the simulation in 200 ms slices until `done()` or `deadline`,
+/// never past `deadline`.
 void advance_until(World& w, const std::function<bool()>& done,
                    sim::Time deadline);
 

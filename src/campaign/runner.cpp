@@ -221,6 +221,10 @@ std::string CampaignRunner::run_cell(const CampaignCell& cell) {
   if (sharded) {
     manifest.workload += "/cells" + std::to_string(cfg.cell_count());
   }
+  if (cfg.application.kind != workload::Application::Kind::kDownload) {
+    manifest.workload +=
+        std::string("/") + application_slug(cfg.application.kind);
+  }
   manifest.params = analysis::describe_scenario(cfg.scenario);
   manifest.params.emplace_back("fleet.clients",
                                std::to_string(cell.fleet_size));

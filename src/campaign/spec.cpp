@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <type_traits>
 
 #include "analysis/json.hpp"
 #include "sim/fidelity.hpp"
@@ -101,6 +102,18 @@ double as_num(const JsonScalar& v) {
 
 bool as_bool(const JsonScalar& v) { return as_num(v) != 0.0; }
 
+/// Stores a numeric or boolean value into `field`; true, so a key's branch
+/// can end in `return set(field, v);`.
+template <typename T>
+bool set(T& field, const JsonScalar& v) {
+  if constexpr (std::is_same_v<T, bool>) {
+    field = as_bool(v);
+  } else {
+    field = static_cast<T>(as_num(v));
+  }
+  return true;
+}
+
 std::string as_str(const JsonScalar& v) {
   if (v.type == JsonScalar::Type::kString) return v.str;
   return {};
@@ -116,17 +129,14 @@ bool apply_scenario_key(app::ScenarioConfig& cfg, std::string_view key,
     return false;
   };
   auto path_key = [&](app::PathParams& pp, std::string_view sub) {
-    if (sub == "down_mbps") { pp.down_mbps = as_num(v); return true; }
-    if (sub == "up_mbps") { pp.up_mbps = as_num(v); return true; }
+    if (sub == "down_mbps") return set(pp.down_mbps, v);
+    if (sub == "up_mbps") return set(pp.up_mbps, v);
     if (sub == "rtt_ms") {
       pp.rtt = sim::from_seconds(as_num(v) * 1e-3);
       return true;
     }
-    if (sub == "loss") { pp.loss = as_num(v); return true; }
-    if (sub == "queue_bytes") {
-      pp.queue_bytes = static_cast<std::size_t>(as_num(v));
-      return true;
-    }
+    if (sub == "loss") return set(pp.loss, v);
+    if (sub == "queue_bytes") return set(pp.queue_bytes, v);
     return false;
   };
   if (starts_with(key, "wifi.") && path_key(cfg.wifi, key.substr(5))) {
@@ -135,28 +145,16 @@ bool apply_scenario_key(app::ScenarioConfig& cfg, std::string_view key,
   if (starts_with(key, "cell.") && path_key(cfg.cell, key.substr(5))) {
     return true;
   }
-  if (key == "wifi_onoff") { cfg.wifi_onoff = as_bool(v); return true; }
-  if (key == "onoff.high_mbps") { cfg.onoff.high_mbps = as_num(v); return true; }
-  if (key == "onoff.low_mbps") { cfg.onoff.low_mbps = as_num(v); return true; }
-  if (key == "onoff.mean_high_s") {
-    cfg.onoff.mean_high_s = as_num(v);
-    return true;
-  }
-  if (key == "onoff.mean_low_s") {
-    cfg.onoff.mean_low_s = as_num(v);
-    return true;
-  }
-  if (key == "interferers") {
-    cfg.interferers = static_cast<int>(as_num(v));
-    return true;
-  }
-  if (key == "lambda_on") { cfg.lambda_on = as_num(v); return true; }
-  if (key == "lambda_off") { cfg.lambda_off = as_num(v); return true; }
-  if (key == "mobility") { cfg.mobility = as_bool(v); return true; }
-  if (key == "request_bytes") {
-    cfg.request_bytes = static_cast<std::uint64_t>(as_num(v));
-    return true;
-  }
+  if (key == "wifi_onoff") return set(cfg.wifi_onoff, v);
+  if (key == "onoff.high_mbps") return set(cfg.onoff.high_mbps, v);
+  if (key == "onoff.low_mbps") return set(cfg.onoff.low_mbps, v);
+  if (key == "onoff.mean_high_s") return set(cfg.onoff.mean_high_s, v);
+  if (key == "onoff.mean_low_s") return set(cfg.onoff.mean_low_s, v);
+  if (key == "interferers") return set(cfg.interferers, v);
+  if (key == "lambda_on") return set(cfg.lambda_on, v);
+  if (key == "lambda_off") return set(cfg.lambda_off, v);
+  if (key == "mobility") return set(cfg.mobility, v);
+  if (key == "request_bytes") return set(cfg.request_bytes, v);
   if (key == "max_sim_time_s") {
     cfg.max_sim_time = sim::from_seconds(as_num(v));
     return true;
@@ -165,7 +163,7 @@ bool apply_scenario_key(app::ScenarioConfig& cfg, std::string_view key,
     cfg.max_drain = sim::from_seconds(as_num(v));
     return true;
   }
-  if (key == "record_series") { cfg.record_series = as_bool(v); return true; }
+  if (key == "record_series") return set(cfg.record_series, v);
   if (key == "fidelity") {
     const auto f = sim::fidelity_from_string(as_str(v));
     if (!f) return bad_value("fidelity");
@@ -196,6 +194,7 @@ bool apply_key(CampaignSpec& spec, std::string_view key, const JsonScalar& v,
   using workload::FleetConfig;
   using workload::SizeDist;
   using workload::ThinkTime;
+  FleetConfig& w = spec.workload;
 
   auto bad_value = [&](const std::string& what) {
     err = std::string(key) + ": unknown " + what + " \"" + as_str(v) + "\"";
@@ -241,116 +240,80 @@ bool apply_key(CampaignSpec& spec, std::string_view key, const JsonScalar& v,
   }
   if (key == "mode") {
     const std::string m = as_str(v);
-    if (m == "closed") spec.workload.mode = FleetConfig::Mode::kClosed;
-    else if (m == "open") spec.workload.mode = FleetConfig::Mode::kOpen;
+    if (m == "closed") w.mode = FleetConfig::Mode::kClosed;
+    else if (m == "open") w.mode = FleetConfig::Mode::kOpen;
     else return bad_value("mode");
     return true;
   }
-  if (key == "flows_per_client") {
-    spec.workload.flows_per_client = static_cast<std::size_t>(as_num(v));
-    return true;
+  if (key == "app.kind") {
+    using Kind = workload::Application::Kind;
+    if (as_str(v) == "web") {
+      err = "app.kind = web: no spec can state a web page yet";
+      return false;
+    }
+    for (const Kind kind : {Kind::kDownload, Kind::kUpload, Kind::kStream}) {
+      if (as_str(v) == application_slug(kind)) {
+        w.application.kind = kind;
+        return true;
+      }
+    }
+    return bad_value("application");
   }
+  if (key == "flows_per_client") return set(w.flows_per_client, v);
   if (key == "size.kind") {
     const std::string k = as_str(v);
-    if (k == "fixed") spec.workload.flow_size.kind = SizeDist::Kind::kFixed;
-    else if (k == "lognormal") {
-      spec.workload.flow_size.kind = SizeDist::Kind::kLognormal;
-    } else if (k == "pareto") {
-      spec.workload.flow_size.kind = SizeDist::Kind::kPareto;
-    } else if (k == "empirical") {
-      spec.workload.flow_size.kind = SizeDist::Kind::kEmpirical;
-    } else if (k == "scheduled") {
-      spec.workload.flow_size.kind = SizeDist::Kind::kScheduled;
-    } else {
-      return bad_value("size distribution");
-    }
+    if (k == "fixed") w.flow_size.kind = SizeDist::Kind::kFixed;
+    else if (k == "lognormal") w.flow_size.kind = SizeDist::Kind::kLognormal;
+    else if (k == "pareto") w.flow_size.kind = SizeDist::Kind::kPareto;
+    else if (k == "empirical") w.flow_size.kind = SizeDist::Kind::kEmpirical;
+    else if (k == "scheduled") w.flow_size.kind = SizeDist::Kind::kScheduled;
+    else return bad_value("size distribution");
     return true;
   }
-  if (key == "size.mean_bytes") {
-    spec.workload.flow_size.mean_bytes =
-        static_cast<std::uint64_t>(as_num(v));
-    return true;
-  }
-  if (key == "size.log_mu") {
-    spec.workload.flow_size.log_mu = as_num(v);
-    return true;
-  }
-  if (key == "size.log_sigma") {
-    spec.workload.flow_size.log_sigma = as_num(v);
-    return true;
-  }
-  if (key == "size.alpha") {
-    spec.workload.flow_size.alpha = as_num(v);
-    return true;
-  }
-  if (key == "size.min_bytes") {
-    spec.workload.flow_size.min_bytes = static_cast<std::uint64_t>(as_num(v));
-    return true;
-  }
-  if (key == "size.max_bytes") {
-    spec.workload.flow_size.max_bytes = static_cast<std::uint64_t>(as_num(v));
-    return true;
-  }
+  if (key == "size.mean_bytes") return set(w.flow_size.mean_bytes, v);
+  if (key == "size.log_mu") return set(w.flow_size.log_mu, v);
+  if (key == "size.log_sigma") return set(w.flow_size.log_sigma, v);
+  if (key == "size.alpha") return set(w.flow_size.alpha, v);
+  if (key == "size.min_bytes") return set(w.flow_size.min_bytes, v);
+  if (key == "size.max_bytes") return set(w.flow_size.max_bytes, v);
   if (list_key("size.values")) {
-    spec.workload.flow_size.values.push_back(
-        static_cast<std::uint64_t>(as_num(v)));
+    w.flow_size.values.push_back(static_cast<std::uint64_t>(as_num(v)));
     return true;
   }
   if (key == "think.kind") {
     const std::string k = as_str(v);
-    if (k == "none") spec.workload.think.kind = ThinkTime::Kind::kNone;
-    else if (k == "fixed") spec.workload.think.kind = ThinkTime::Kind::kFixed;
-    else if (k == "exponential") {
-      spec.workload.think.kind = ThinkTime::Kind::kExponential;
-    } else {
-      return bad_value("think-time model");
-    }
+    if (k == "none") w.think.kind = ThinkTime::Kind::kNone;
+    else if (k == "fixed") w.think.kind = ThinkTime::Kind::kFixed;
+    else if (k == "exponential") w.think.kind = ThinkTime::Kind::kExponential;
+    else return bad_value("think-time model");
     return true;
   }
-  if (key == "think.mean_s") {
-    spec.workload.think.mean_s = as_num(v);
-    return true;
-  }
+  if (key == "think.mean_s") return set(w.think.mean_s, v);
   if (key == "arrival.kind") {
+    using Arrival = ArrivalProcess::Kind;
     const std::string k = as_str(v);
-    if (k == "poisson") {
-      spec.workload.arrival.kind = ArrivalProcess::Kind::kPoisson;
-    } else if (k == "deterministic") {
-      spec.workload.arrival.kind = ArrivalProcess::Kind::kDeterministic;
-    } else if (k == "trace") {
-      spec.workload.arrival.kind = ArrivalProcess::Kind::kTrace;
-    } else {
-      return bad_value("arrival process");
-    }
+    if (k == "poisson") w.arrival.kind = Arrival::kPoisson;
+    else if (k == "deterministic") w.arrival.kind = Arrival::kDeterministic;
+    else if (k == "trace") w.arrival.kind = Arrival::kTrace;
+    else return bad_value("arrival process");
     return true;
   }
-  if (key == "arrival.rate_per_s") {
-    spec.workload.arrival.rate_per_s = as_num(v);
-    return true;
-  }
+  if (key == "arrival.rate_per_s") return set(w.arrival.rate_per_s, v);
   if (list_key("arrival.times_s")) {
-    spec.workload.arrival.times_s.push_back(as_num(v));
+    w.arrival.times_s.push_back(as_num(v));
     return true;
   }
   if (key == "sharding.clients_per_cell") {
-    spec.workload.sharding.clients_per_cell =
-        static_cast<std::size_t>(as_num(v));
-    return true;
+    return set(w.sharding.clients_per_cell, v);
   }
-  if (key == "sharding.shards") {
-    spec.workload.sharding.shards = static_cast<std::size_t>(as_num(v));
-    return true;
-  }
-  if (key == "sharding.cross_every") {
-    spec.workload.sharding.cross_every = static_cast<std::size_t>(as_num(v));
-    return true;
-  }
+  if (key == "sharding.shards") return set(w.sharding.shards, v);
+  if (key == "sharding.cross_every") return set(w.sharding.cross_every, v);
   if (key == "sharding.backbone_mbps") {
     if (as_num(v) <= 0.0) {
       err = std::string(key) + ": backbone rate must be > 0";
       return false;
     }
-    spec.workload.sharding.backbone_mbps = as_num(v);
+    w.sharding.backbone_mbps = as_num(v);
     return true;
   }
   if (key == "sharding.backbone_delay_ms") {
@@ -360,11 +323,11 @@ bool apply_key(CampaignSpec& spec, std::string_view key, const JsonScalar& v,
             "conservative lookahead window)";
       return false;
     }
-    spec.workload.sharding.backbone_delay = sim::from_seconds(as_num(v) * 1e-3);
+    w.sharding.backbone_delay = sim::from_seconds(as_num(v) * 1e-3);
     return true;
   }
   if (starts_with(key, "scenario.")) {
-    return apply_scenario_key(spec.workload.scenario, key.substr(9), v, err);
+    return apply_scenario_key(w.scenario, key.substr(9), v, err);
   }
   err = "unknown key: " + std::string(key);
   return false;
@@ -385,6 +348,13 @@ bool validate_workload(const workload::FleetConfig& w, std::string& err) {
         "keeps no fluid metrics and cross-cell links have no fast-path "
         "hooks");
   }
+  if (w.scenario.fidelity == sim::Fidelity::kHybrid &&
+      w.application.kind != workload::Application::Kind::kDownload) {
+    return reject(
+        "fidelity hybrid (scenario.fidelity or EMPTCP_FIDELITY) runs "
+        "app.kind = download only: the hybrid differential checks have only "
+        "ever compared downloads");
+  }
   const bool open = w.mode == workload::FleetConfig::Mode::kOpen;
   const bool trace = w.arrival.kind == workload::ArrivalProcess::Kind::kTrace;
   if (open && trace && w.arrival.times_s.empty()) {
@@ -401,6 +371,11 @@ bool validate_workload(const workload::FleetConfig& w, std::string& err) {
 }
 
 }  // namespace
+
+const char* application_slug(workload::Application::Kind k) {
+  constexpr const char* kSlugs[] = {"download", "upload", "stream", "web"};
+  return kSlugs[static_cast<std::size_t>(k)];
+}
 
 const char* protocol_slug(app::Protocol p) {
   switch (p) {

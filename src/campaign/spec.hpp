@@ -9,6 +9,7 @@
 //   fleet_sizes   = 4, 16
 //   seeds         = 1, 2, 3
 //   mode          = closed
+//   app.kind      = download
 //   flows_per_client = 2
 //   size.kind     = lognormal
 //   size.log_mu   = 13.2
@@ -53,12 +54,17 @@ struct CampaignSpec {
 /// accepted back by app::protocol_from_string.
 const char* protocol_slug(app::Protocol p);
 
+/// The `app.kind` value naming an application ("download", "upload",
+/// "stream", "web").
+const char* application_slug(workload::Application::Kind k);
+
 /// Parses a spec from text (JSON object or key=value lines, auto-detected
 /// by a leading '{'). False with a diagnostic in `err` on malformed input,
-/// unknown keys or named values, an incomplete grid (empty
-/// protocols/fleet_sizes/seeds), or a workload that cannot run: hybrid
-/// fidelity on a sharded fleet, an open loop without a positive finite
-/// rate or (trace arrivals) without times, or size.min_bytes above
+/// unknown keys or named values (app.kind = web included: no key states a
+/// page), an incomplete grid (empty protocols/fleet_sizes/seeds), or a
+/// workload that cannot run: hybrid fidelity on a sharded fleet or with
+/// an application other than download, an open loop without a positive
+/// finite rate or (trace arrivals) without times, or size.min_bytes above
 /// size.max_bytes.
 bool parse_campaign_spec(std::string_view text, CampaignSpec& out,
                          std::string& err);

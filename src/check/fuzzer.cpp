@@ -69,7 +69,7 @@ const char* to_string(LinkOutage::Dir d) {
   return "?";
 }
 
-FuzzScenario generate_scenario(std::uint64_t seed) {
+FuzzScenario generate_scenario(std::uint64_t seed, bool fidelity_diff) {
   SeedStream s(seed);
   FuzzScenario sc;
   sc.seed = seed;
@@ -179,6 +179,21 @@ FuzzScenario generate_scenario(std::uint64_t seed) {
     }
   }
 
+  // The application, drawn last so download scenarios keep every earlier
+  // draw; --fidelity-diff skips it, as hybrid fidelity runs downloads
+  // only. Streams are short, so a client's flows fit the 120 s budget.
+  const std::uint64_t kind = fidelity_diff ? 0 : s.range(0, 4);
+  app::VideoStreamClient::Config& st = f.application.stream;
+  if (kind == 3) f.application.kind = workload::Application::Kind::kUpload;
+  if (kind == 4) {
+    f.application.kind = workload::Application::Kind::kStream;
+    st.bitrate_mbps = s.real(0.5, 4.0);
+    st.chunk_bytes = (std::uint64_t{64} << s.range(0, 3)) * 1024;
+    st.media_duration_s = s.real(4.0, 20.0);
+    st.startup_s = s.real(1.0, 4.0);
+    st.buffer_target_s = st.startup_s + s.real(2.0, 8.0);
+  }
+
   std::string sum = std::string(app::to_string(f.protocol));
   sum += f.mode == workload::FleetConfig::Mode::kClosed ? " closed" : " open";
   sum += " clients=" + std::to_string(f.clients);
@@ -196,6 +211,8 @@ FuzzScenario generate_scenario(std::uint64_t seed) {
            to_string(o.dir) + "]@" + fmt(o.at_s) + "s+" + fmt(o.duration_s) +
            "s";
   }
+  if (kind == 3) sum += " upload";
+  if (kind == 4) sum += " stream=" + fmt(st.bitrate_mbps) + "Mbps";
   if (sc.differential) sum += " differential";
   sc.summary = sum;
   return sc;
@@ -330,7 +347,7 @@ RunOutcome run_protocol(const FuzzScenario& sc, app::Protocol protocol,
 }
 
 SeedResult run_seed(std::uint64_t seed, bool fidelity_diff) {
-  const FuzzScenario sc = generate_scenario(seed);
+  const FuzzScenario sc = generate_scenario(seed, fidelity_diff);
   SeedResult r;
   r.seed = seed;
   r.summary = sc.summary;

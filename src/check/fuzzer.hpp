@@ -71,8 +71,10 @@ struct FuzzScenario {
   std::string summary;  ///< one-line human description
 };
 
-/// Pure function of `seed`.
-FuzzScenario generate_scenario(std::uint64_t seed);
+/// Pure function of (`seed`, `fidelity_diff`). Scenarios draw their
+/// application (download, upload or stream); --fidelity-diff scenarios
+/// keep downloads, the one application hybrid fidelity runs.
+FuzzScenario generate_scenario(std::uint64_t seed, bool fidelity_diff = false);
 
 /// One protocol run of a scenario under the oracle.
 struct RunOutcome {

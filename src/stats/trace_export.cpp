@@ -135,6 +135,12 @@ char* append_event(char* p, const trace::Event& e) {
       out.field_double("fct_s", e.d0);
       out.field_double("energy_j", e.d1);
       break;
+    case trace::Kind::kStream:
+      out.field_int("flow", e.id);
+      out.field_double("startup_s", e.d0);
+      out.field_double("stall_s", e.d1);
+      out.field_int("rebuffers", e.i0);
+      break;
     case trace::Kind::kFastpath:
       out.field_int("flow", e.id);
       out.field_str("state", e.label);

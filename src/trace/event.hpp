@@ -29,6 +29,7 @@ enum class Kind : std::uint8_t {
   kChannelRate,   ///< channel/link rate change (on-off, contention, walk)
   kFlowStart,     ///< workload flow issued its request (fleet runs)
   kFlowComplete,  ///< workload flow fully delivered; carries FCT + energy
+  kStream,        ///< stream flow's playback quality, at its completion
   kFastpath,      ///< hybrid-fidelity governor moved a flow between states
   kWarning,       ///< anomaly worth surfacing (e.g. counter went backwards)
 };

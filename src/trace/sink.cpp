@@ -124,6 +124,7 @@ const char* to_string(Kind k) {
     case Kind::kChannelRate: return "channel_rate";
     case Kind::kFlowStart: return "flow_start";
     case Kind::kFlowComplete: return "flow_complete";
+    case Kind::kStream: return "stream";
     case Kind::kFastpath: return "fastpath";
     case Kind::kWarning: return "warning";
   }

@@ -245,6 +245,11 @@ class TraceSink {
     push({t, Kind::kFlowComplete, flow, nullptr, nullptr,
           static_cast<std::int64_t>(bytes), 0, fct_s, energy_j_est});
   }
+  void stream(sim::Time t, std::uint32_t flow, double startup_s,
+              double stall_s, int rebuffers) {
+    push({t, Kind::kStream, flow, nullptr, nullptr, rebuffers, 0, startup_s,
+          stall_s});
+  }
   /// `state` is the governor state entered (measure/drain/fluid), `reason`
   /// why; rates are the flow's frozen per-interface payload rates.
   void fastpath(sim::Time t, std::uint32_t flow, const char* state,

@@ -37,7 +37,7 @@ struct SizeDist {
   double alpha = 1.2;                  ///< kPareto shape (tail heaviness)
   std::uint64_t min_bytes = 1024;
   std::uint64_t max_bytes = std::uint64_t{1} << 32;
-  std::vector<std::uint64_t> values;   ///< kEmpirical/kScheduled support
+  std::vector<std::uint64_t> values{};  ///< kEmpirical/kScheduled support
 
   /// `index` is the flow index; only kScheduled consults it (and draws
   /// nothing from `rng`, like kFixed).

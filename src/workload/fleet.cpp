@@ -16,23 +16,8 @@ bool ClientFleet::done() const { return flows_->done(); }
 
 void ClientFleet::start(std::uint64_t seed) {
   world_ = std::make_unique<app::World>(cfg_.scenario, seed);
-  app::World& w = *world_;
-  // Sizes are drawn from the world's Rng at launch, so the server answers
-  // from the records. Flows identify themselves via the app tag (flow id +
-  // 1): accept order only matches connect order on loss-free paths — a
-  // dropped SYN makes a later flow's connection arrive first and would
-  // permute the served sizes. Guard the range so a stray connection gets
-  // an empty response instead of UB.
   flows_ = std::make_unique<FlowLoop>(
-      cfg_, w, FlowLoop::Place{0, 1, cfg_.clients, 0}, cfg_.arrival,
-      [this, &w](std::uint64_t g) {
-        return cfg_.flow_size.sample(w.sim.rng(), g);
-      },
-      [this](std::size_t conn, std::size_t req) -> std::uint64_t {
-        const std::vector<FlowRecord>& records = flows_->records();
-        if (req != 0 || conn >= records.size()) return 0;
-        return records[conn].bytes;
-      });
+      cfg_, *world_, FlowLoop::Place{0, 1, cfg_.clients, 0}, cfg_.arrival);
   flows_->start();
 }
 

@@ -9,11 +9,13 @@
 //     injects flows regardless of completions, the load model for
 //     aggregate-traffic experiments.
 //
-// Every flow issues a fresh connection against the shared FileServer with
-// a sampled size, and its completion yields a FlowRecord (FCT + estimated
-// energy share). Records feed the trace sink as flow_start/flow_complete
-// events, so campaign rollups rebuild per-flow FCT and energy-per-bit
-// distributions (analysis::LogHistogram) from the serialized trace alone.
+// Every flow runs the fleet's application (a download of a sampled size by
+// default; an upload, a stream or a web page) on fresh connections against
+// the shared FileServer, and its completion yields a FlowRecord (FCT +
+// estimated energy share). Records feed the trace sink as
+// flow_start/flow_complete events, so campaign rollups rebuild per-flow FCT
+// and energy-per-bit distributions (analysis::LogHistogram) from the
+// serialized trace alone.
 // The flows themselves are driven by workload::FlowLoop (flow_loop.hpp),
 // the loop ShardedFleet runs per cell; ClientFleet owns the one-cell case.
 //
@@ -56,9 +58,24 @@ struct ShardingConfig {
   sim::Duration backbone_delay = sim::milliseconds(10);
 };
 
+/// The application every flow of a fleet runs (DESIGN.md §9.1).
+struct Application {
+  enum class Kind : std::uint8_t {
+    kDownload,  ///< fetch the flow's size; done at EOF
+    kUpload,    ///< send the flow's size and half-close; done at close
+    kStream,    ///< play `stream`, one chunk per request; done at its end
+    kWebPage,   ///< load `page` over `parallel` connections
+  };
+  Kind kind = Kind::kDownload;
+  app::VideoStreamClient::Config stream{};
+  const app::WebPage* page = nullptr;  ///< must outlive the fleet
+  std::size_t parallel = 6;
+};
+
 struct FleetConfig {
   app::ScenarioConfig scenario;
   app::Protocol protocol = app::Protocol::kEmptcp;
+  Application application;
 
   enum class Mode : std::uint8_t { kClosed, kOpen };
   Mode mode = Mode::kClosed;
@@ -85,8 +102,10 @@ struct FleetConfig {
 struct FlowRecord {
   std::uint32_t id = 0;       ///< flow index == server connection index
   std::uint32_t client = 0;
-  std::uint64_t bytes = 0;    ///< sampled (and served) response size
-  std::uint64_t delivered = 0;  ///< in-order bytes the client received
+  std::uint64_t bytes = 0;    ///< sampled size (a stream's or page's total)
+  /// In-order bytes the client received; for an upload, the bytes the
+  /// server acknowledged.
+  std::uint64_t delivered = 0;
   double start_s = 0.0;
   double end_s = 0.0;
   bool completed = false;

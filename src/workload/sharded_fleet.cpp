@@ -101,14 +101,11 @@ void ShardedFleet::build_cell(std::size_t index, std::size_t clients,
                          static_cast<double>(clients) /
                          static_cast<double>(cfg_.clients);
   }
-  // Connections carry app_tag = g + 1 and sizes are a pure function of g,
-  // so this server answers local and cross-cell requests identically.
+  // Sizes are a pure function of g, so this server answers local and
+  // cross-cell requests identically.
   c.flows = std::make_unique<FlowLoop>(
       cfg_, w, FlowLoop::Place{index, cfg_.cell_count(), clients, client_base},
-      std::move(arrival), [this](std::uint64_t g) { return flow_bytes(g); },
-      [this](std::size_t conn, std::size_t req) -> std::uint64_t {
-        return req != 0 ? 0 : flow_bytes(conn);
-      });
+      std::move(arrival), [this](std::uint64_t g) { return flow_bytes(g); });
 }
 
 void ShardedFleet::wire_backbone() {

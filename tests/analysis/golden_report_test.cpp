@@ -3,7 +3,8 @@
 // A small committed set of traces + manifests (tests/data/golden/) pins
 // down two things at once:
 //   1. the simulation + trace serialization is deterministic: regenerating
-//      the artifacts in-process reproduces the committed bytes exactly;
+//      the artifacts in-process reproduces the committed traces and
+//      manifests byte for byte;
 //   2. `render_report` over those artifacts, loaded through
 //      load_analyzed_runs as emptcp-report loads them, is byte-identical
 //      to the committed report, independent of input order.
@@ -137,6 +138,10 @@ TEST(GoldenReportTest, ArtifactsMatchCurrentSimulation) {
     EXPECT_EQ(a.jsonl, committed)
         << artifact_stem(c)
         << ": simulation output drifted from the committed golden trace";
+    // The manifest too: its event count, digest and scenario parameters.
+    EXPECT_EQ(manifest_to_json(a.manifest),
+              read_file(golden_dir() / (artifact_stem(c) + ".manifest.json")))
+        << artifact_stem(c) << ": manifest drifted from the committed one";
   }
 }
 

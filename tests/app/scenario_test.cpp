@@ -100,6 +100,23 @@ TEST(ScenarioTest, TimedRunMeasuresFixedWindow) {
   EXPECT_GT(m.bytes_received, 10 * kMB);  // ~19 Mbps aggregate for 30 s
 }
 
+TEST(ScenarioTest, UnfinishedRunStopsAtItsDeadline) {
+  // A deadline that is not a multiple of the 200 ms advance slice: the
+  // run must stop at it, not at the end of the slice that crosses it.
+  ScenarioConfig cfg = fast_config();
+  cfg.max_sim_time = sim::milliseconds(300);
+  cfg.trace = true;
+  const RunMetrics m = Scenario(cfg).run_download(Protocol::kEmptcp, kMB, 1);
+  const double deadline_s = sim::to_seconds(cfg.max_sim_time);
+  EXPECT_FALSE(m.completed);
+  EXPECT_EQ(m.download_time_s, deadline_s);
+  ASSERT_FALSE(m.energy_series.empty());
+  EXPECT_LE(m.energy_series.back().t, deadline_s);
+  for (const trace::Event& e : m.trace_events) {
+    EXPECT_LE(e.t, cfg.max_sim_time);
+  }
+}
+
 TEST(ScenarioTest, OnOffScenarioChangesWifiThroughput) {
   ScenarioConfig cfg = fast_config(12.0, 9.0);
   cfg.wifi_onoff = true;

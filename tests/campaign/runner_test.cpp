@@ -12,6 +12,8 @@
 #include <stdexcept>
 #include <string>
 
+#include <unistd.h>
+
 #include "analysis/json.hpp"
 #include "analysis/report.hpp"
 #include "analysis/report_io.hpp"
@@ -38,12 +40,13 @@ CampaignSpec tiny_spec() {
   return spec;
 }
 
-CampaignSpec sharded_spec(std::size_t shards) {
+CampaignSpec sharded_spec(std::size_t shards, const std::string& extra = "") {
   CampaignSpec spec;
   std::string err;
   // Fidelity pinned: a sharded spec is rejected at hybrid, and the
   // default follows EMPTCP_FIDELITY.
   const bool ok = parse_campaign_spec(
+      extra +
       "name = sh\n"
       "protocols = emptcp\n"
       "fleet_sizes = 8\n"
@@ -81,12 +84,16 @@ std::map<std::string, std::string> snapshot(const fs::path& dir) {
 
 class CampaignRunnerTest : public ::testing::Test {
  protected:
+  /// Named by the process too: ctest runs this suite twice at once (its
+  /// own entries and campaign_parallel_jobs), and two runs of one test
+  /// must not share a directory.
   fs::path fresh_dir(const char* tag) {
     const fs::path dir = fs::path(::testing::TempDir()) /
                          (std::string("campaign_") + tag + "_" +
                           ::testing::UnitTest::GetInstance()
                               ->current_test_info()
-                              ->name());
+                              ->name() +
+                          "_" + std::to_string(::getpid()));
     fs::remove_all(dir);
     return dir;
   }
@@ -251,6 +258,29 @@ TEST_F(CampaignRunnerTest, ShardedCellsProduceShardCountIndependentArtifacts) {
   EXPECT_TRUE(runs[0].digest_ok);
   EXPECT_EQ(runs[0].rollup.flows_started, 8u);
   EXPECT_EQ(runs[0].rollup.flows_completed, 8u);
+}
+
+TEST_F(CampaignRunnerTest, ShardedUploadCellsAreShardCountIndependent) {
+  // Uploads cross cells too: every second flow of a cell sends to the next
+  // cell's server over the backbone.
+  const fs::path d1 = fresh_dir("up1");
+  const fs::path d2 = fresh_dir("up2");
+  CampaignRunner one(sharded_spec(1, "app.kind = upload\n"), d1.string());
+  CampaignRunner two(sharded_spec(2, "app.kind = upload\n"), d2.string());
+  ASSERT_EQ(one.run(1).ran, 1u);
+  ASSERT_EQ(two.run(1).ran, 1u);
+  EXPECT_EQ(snapshot(d1), snapshot(d2));
+  const std::string manifest = slurp(d1 / "sh-emptcp-f8-s1.manifest.json");
+  EXPECT_NE(manifest.find("/cells4/upload"), std::string::npos) << manifest;
+
+  std::vector<analysis::AnalyzedRun> runs;
+  std::string err;
+  ASSERT_TRUE(analysis::load_analyzed_runs({d1.string()}, runs, err)) << err;
+  ASSERT_EQ(runs.size(), 1u);
+  EXPECT_TRUE(runs[0].rollup.completed);
+  EXPECT_EQ(runs[0].rollup.flows_started, 8u);
+  EXPECT_EQ(runs[0].rollup.flows_completed, 8u);
+  EXPECT_EQ(runs[0].rollup.bytes, 8u * 50000u);
 }
 
 TEST_F(CampaignRunnerTest, HeartbeatReportsProgressWithoutTouchingArtifacts) {

@@ -252,6 +252,46 @@ TEST(CampaignSpecTest, RejectsUnknownDeviceAndCellTech) {
   EXPECT_NE(err.find("scenario.wifi.bogus"), std::string::npos) << err;
 }
 
+TEST(CampaignSpecTest, ParsesApplicationKind) {
+  using Kind = workload::Application::Kind;
+  const FidelityEnv packet(nullptr);
+  CampaignSpec spec;
+  std::string err;
+  ASSERT_TRUE(parse_campaign_spec(std::string(kGrid), spec, err)) << err;
+  EXPECT_EQ(spec.workload.application.kind, Kind::kDownload);
+  for (const Kind kind : {Kind::kDownload, Kind::kUpload, Kind::kStream}) {
+    ASSERT_TRUE(parse_campaign_spec(std::string(kGrid) + "app.kind = " +
+                                        application_slug(kind) + "\n",
+                                    spec, err))
+        << err;
+    EXPECT_EQ(spec.workload.application.kind, kind);
+  }
+}
+
+TEST(CampaignSpecTest, RejectsWebUnknownAndHybridApplications) {
+  std::string err;
+  {
+    const FidelityEnv packet(nullptr);
+    // No key can state a page, so a web cell would have nothing to load.
+    EXPECT_FALSE(parses("app.kind = web\n", err));
+    EXPECT_EQ(err, "app.kind = web: no spec can state a web page yet");
+    EXPECT_FALSE(parses("app.kind = video\n", err));
+    EXPECT_EQ(err, "app.kind: unknown application \"video\"");
+    EXPECT_FALSE(
+        parses("app.kind = upload\nscenario.fidelity = hybrid\n", err));
+    EXPECT_NE(err.find("app.kind = download only"), std::string::npos) << err;
+    EXPECT_TRUE(parses("app.kind = download\nscenario.fidelity = hybrid\n",
+                       err))
+        << err;
+  }
+  // The EMPTCP_FIDELITY default counts too; an explicit packet key wins.
+  const FidelityEnv hybrid("hybrid");
+  EXPECT_FALSE(parses("app.kind = stream\n", err));
+  EXPECT_NE(err.find("app.kind = download only"), std::string::npos) << err;
+  EXPECT_TRUE(parses("app.kind = stream\nscenario.fidelity = packet\n", err))
+      << err;
+}
+
 /// Every *.spec under examples/campaigns, recursively, in sorted order.
 std::vector<std::filesystem::path> committed_specs() {
   std::vector<std::filesystem::path> out;
@@ -268,7 +308,7 @@ std::vector<std::filesystem::path> committed_specs() {
 TEST(CampaignSpecTest, EveryCommittedSpecParses) {
   const FidelityEnv packet(nullptr);
   const std::vector<std::filesystem::path> specs = committed_specs();
-  EXPECT_GE(specs.size(), 12u);  // 4 at the top level + 8 under paper/
+  EXPECT_GE(specs.size(), 17u);  // 4 at the top level + 13 under paper/
   for (const auto& path : specs) {
     CampaignSpec spec;
     std::string err;
@@ -277,9 +317,10 @@ TEST(CampaignSpecTest, EveryCommittedSpecParses) {
 }
 
 TEST(CampaignSpecTest, PaperSpecsRunOneClientWithOneFixedSizeFlow) {
-  // A cell of such a spec is the run Scenario::run_download makes at the
-  // same seed (tests/campaign/figure_spec_test.cpp), which is what lets
-  // the paper specs stand in for the figure benches.
+  // A cell of such a spec is the run Scenario's run_download, run_upload
+  // or run_stream makes at the same seed
+  // (tests/campaign/figure_spec_test.cpp), which is what lets the paper
+  // specs stand in for the figure and extension benches.
   const FidelityEnv packet(nullptr);
   std::size_t paper = 0;
   for (const auto& path : committed_specs()) {
@@ -296,7 +337,7 @@ TEST(CampaignSpecTest, PaperSpecsRunOneClientWithOneFixedSizeFlow) {
     EXPECT_GT(w.flow_size.mean_bytes, 0u) << path;
     EXPECT_EQ(w.sharding.clients_per_cell, 0u) << path;
   }
-  EXPECT_EQ(paper, 8u);
+  EXPECT_EQ(paper, 13u);
 }
 
 TEST(CampaignSpecTest, ProtocolSlugsRoundTrip) {

@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "app/world.hpp"
 #include "net/packet_pool.hpp"
 #include "trace/event.hpp"
+#include "workload/sharded_fleet.hpp"
 
 namespace emptcp::workload {
 namespace {
@@ -68,6 +70,40 @@ TEST(ClientFleetTest, SixtyFourConcurrentFlowsAllComplete) {
   EXPECT_EQ(m.run.bytes_received, 64u * 100u * 1024u);
   EXPECT_EQ(m.fct_hist.count(), 64u);
   EXPECT_EQ(m.epb_hist.count(), 64u);
+}
+
+TEST(ClientFleetTest, EveryApplicationCompletesInBothFleets) {
+  // Concurrent closed-loop flows of each non-download application, in one
+  // World and in two cells with cross-cell traffic: every flow completes
+  // having moved exactly its size.
+  const app::WebPage page = app::WebPage::cnn_like(5, 20);
+  for (const Application::Kind kind :
+       {Application::Kind::kUpload, Application::Kind::kStream,
+        Application::Kind::kWebPage}) {
+    FleetConfig cfg = many_flow_config(4);
+    cfg.flows_per_client = 2;
+    cfg.scenario.wifi.up_mbps = 20.0;
+    cfg.application.kind = kind;
+    cfg.application.stream.chunk_bytes = 128 * 1024;
+    cfg.application.stream.media_duration_s = 6.0;
+    cfg.application.stream.startup_s = 1.0;
+    cfg.application.stream.buffer_target_s = 3.0;
+    cfg.application.page = &page;
+    cfg.sharding.cross_every = 2;
+    for (const std::size_t per_cell : {0, 2}) {
+      SCOPED_TRACE("kind " + std::to_string(static_cast<int>(kind)) +
+                   ", clients per cell " + std::to_string(per_cell));
+      cfg.sharding.clients_per_cell = per_cell;
+      const FleetMetrics m = run_fleet(cfg, 3);
+      EXPECT_TRUE(m.run.completed);
+      EXPECT_EQ(m.flows_completed, 8u);
+      for (const FlowRecord& f : m.flows) {
+        EXPECT_TRUE(f.completed) << f.id;
+        EXPECT_EQ(f.delivered, f.bytes) << f.id;
+        EXPECT_GT(f.energy_j_est, 0.0) << f.id;
+      }
+    }
+  }
 }
 
 TEST(ClientFleetTest, FleetRunsAreDeterministic) {

@@ -81,7 +81,7 @@ int replay(const std::string& path) {
   }
 
   const check::ScopedMutation guard(hdr.mutation);
-  const check::FuzzScenario sc = check::generate_scenario(hdr.seed);
+  const auto sc = check::generate_scenario(hdr.seed, hdr.fidelity_diff);
   std::fprintf(stderr, "emptcp-fuzz: replaying seed %llu (mutation %s)\n",
                static_cast<unsigned long long>(hdr.seed),
                check::to_string(hdr.mutation));
@@ -205,7 +205,7 @@ int main(int argc, char** argv) {
 
   for (const check::SeedResult& r : batch.results) {
     if (r.ok()) continue;
-    const check::FuzzScenario sc = check::generate_scenario(r.seed);
+    const auto sc = check::generate_scenario(r.seed, cfg.fidelity_diff);
     const std::filesystem::path repro =
         std::filesystem::path(out_dir) /
         ("repro-" + std::to_string(r.seed) + ".txt");
